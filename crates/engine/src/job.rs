@@ -529,6 +529,18 @@ impl JobRuntime {
         !self.tasks.is_empty() && self.tasks.iter().all(|t| t.state.is_terminal())
     }
 
+    /// The order a priority-aware FIFO serves jobs in: priority descending,
+    /// then submission time, then id. Ids are unique, so this is a total
+    /// order and any subset of jobs sorts the same way however it was built.
+    pub fn cmp_service_order(&self, other: &JobRuntime) -> std::cmp::Ordering {
+        other
+            .spec
+            .priority
+            .cmp(&self.spec.priority)
+            .then(self.submitted_at.cmp(&other.submitted_at))
+            .then(self.id.cmp(&other.id))
+    }
+
     /// O(1) completion check: the engine stamps `completed_at` the moment the
     /// last task succeeds, so for jobs observed through a
     /// [`SchedulerContext`](crate::SchedulerContext) this is equivalent to

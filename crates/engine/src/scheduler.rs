@@ -395,52 +395,34 @@ impl<'a> SchedulerContext<'a> {
     /// submission order, task index): the order a priority-aware FIFO
     /// scheduler would serve them in.
     pub fn schedulable_tasks(&self) -> Vec<TaskId> {
-        let mut jobs: Vec<&JobRuntime> = self.jobs.values().collect();
-        jobs.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(a.submitted_at.cmp(&b.submitted_at))
-                .then(a.id.cmp(&b.id))
-        });
-        let mut out = Vec::new();
-        for job in jobs {
-            // The engine-maintained counter lets exhausted jobs be skipped
-            // without touching their task lists.
-            if job.schedulable_count() == 0 {
-                continue;
-            }
-            for t in &job.tasks {
-                if t.state.is_schedulable() {
-                    out.push(t.id);
-                }
-            }
-        }
-        out
+        self.tasks_in_service_order(|j| j.schedulable_count() > 0, TaskState::is_schedulable)
     }
 
     /// All tasks currently suspended, in the same priority order.
     pub fn suspended_tasks(&self) -> Vec<TaskId> {
-        let mut jobs: Vec<&JobRuntime> = self.jobs.values().collect();
-        jobs.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(a.submitted_at.cmp(&b.submitted_at))
-                .then(a.id.cmp(&b.id))
-        });
-        let mut out = Vec::new();
-        for job in jobs {
-            if job.suspended_count == 0 {
-                continue;
-            }
-            for t in &job.tasks {
-                if t.state == TaskState::Suspended {
-                    out.push(t.id);
-                }
-            }
-        }
-        out
+        self.tasks_in_service_order(
+            |j| j.suspended_count > 0,
+            |state| state == TaskState::Suspended,
+        )
+    }
+
+    /// Tasks whose state passes `wanted`, from jobs whose engine-maintained
+    /// counters say they hold such tasks, in
+    /// [`JobRuntime::cmp_service_order`] and task-list order. Jobs are
+    /// filtered before the sort, so a finished or exhausted job costs one
+    /// counter read, not a place in the sort and a task-list walk.
+    fn tasks_in_service_order(
+        &self,
+        has_work: impl Fn(&JobRuntime) -> bool,
+        wanted: impl Fn(TaskState) -> bool,
+    ) -> Vec<TaskId> {
+        let mut jobs: Vec<&JobRuntime> = self.jobs.values().filter(|j| has_work(j)).collect();
+        jobs.sort_by(|a, b| a.cmp_service_order(b));
+        jobs.iter()
+            .flat_map(|j| j.tasks.iter())
+            .filter(|t| wanted(t.state))
+            .map(|t| t.id)
+            .collect()
     }
 
     /// True when there is at least one incomplete job.
@@ -930,6 +912,77 @@ mod tests {
         assert_eq!(order[0].job, JobId(2), "highest priority first");
         assert_eq!(order[1].job, JobId(1), "then FIFO by submission");
         assert_eq!(order[2].job, JobId(3));
+
+        // Interleave finished, exhausted and suspended-only jobs of mixed
+        // priority: only jobs whose counters show work contribute, and the
+        // survivors keep (priority desc, submission, id, task-list) order.
+        let with_states = |id: u32, priority: i32, submitted: u64, states: &[TaskState]| {
+            let mut job = make_job(id, priority, submitted, states.len());
+            for (t, &state) in job.tasks.iter_mut().zip(states) {
+                t.state = state;
+            }
+            job.recount_task_states();
+            job
+        };
+        use TaskState::{Killed, Pending, Running, Succeeded, Suspended};
+        let mut jobs = JobTable::new();
+        jobs.insert(
+            JobId(1),
+            with_states(1, 0, 0, &[Pending, Suspended, Killed]),
+        );
+        let mut finished = with_states(2, 5, 10, &[Succeeded, Succeeded]);
+        finished.completed_at = Some(SimTime::from_secs(15));
+        jobs.insert(JobId(2), finished);
+        jobs.insert(JobId(3), with_states(3, 5, 10, &[Suspended, Pending]));
+        jobs.insert(JobId(4), with_states(4, 0, 5, &[Running, Succeeded]));
+        jobs.insert(JobId(5), with_states(5, -1, 1, &[Suspended, Suspended]));
+        jobs.insert(JobId(6), with_states(6, 5, 3, &[Running, Killed]));
+        // Job 7 ends with a pending reduce: maps come first in its task list.
+        let mut job = with_states(7, 0, 5, &[Suspended, Pending]);
+        job.tasks.push(TaskRuntime::new(
+            TaskId {
+                job: JobId(7),
+                kind: TaskKind::Reduce,
+                index: 0,
+            },
+            100,
+            vec![],
+        ));
+        job.recount_task_states();
+        jobs.insert(JobId(7), job);
+        let ctx = SchedulerContext {
+            jobs: &jobs,
+            totals: PendingTotals::from_jobs(&jobs),
+            ..ctx
+        };
+        let ids = |tasks: Vec<TaskId>| -> Vec<(u32, TaskKind, u32)> {
+            tasks
+                .into_iter()
+                .map(|t| (t.job.0, t.kind, t.index))
+                .collect()
+        };
+        use TaskKind::{Map, Reduce};
+        assert_eq!(
+            ids(ctx.schedulable_tasks()),
+            vec![
+                (6, Map, 1),
+                (3, Map, 1),
+                (1, Map, 0),
+                (1, Map, 2),
+                (7, Map, 1),
+                (7, Reduce, 0),
+            ]
+        );
+        assert_eq!(
+            ids(ctx.suspended_tasks()),
+            vec![
+                (3, Map, 0),
+                (1, Map, 1),
+                (7, Map, 0),
+                (5, Map, 0),
+                (5, Map, 1)
+            ]
+        );
     }
 
     #[test]
