@@ -60,13 +60,19 @@ pub struct ReplicationRepair {
 }
 
 /// The simulated NameNode.
+///
+/// File and block ids are handed out densely from 1 and never retired, so
+/// files, blocks and replica lists live in vectors indexed by `id - 1`; only
+/// the path index is a map.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NameNode {
     topology: Topology,
-    files: HashMap<FileId, FileMeta>,
+    /// File `FileId(i + 1)` is `files[i]`.
+    files: Vec<FileMeta>,
     paths: HashMap<String, FileId>,
-    blocks: HashMap<BlockId, Block>,
-    replicas: HashMap<BlockId, Vec<NodeId>>,
+    /// Block `BlockId(i + 1)` is `blocks[i]`; its holders are `replicas[i]`.
+    blocks: Vec<Block>,
+    replicas: Vec<Vec<NodeId>>,
     /// Dense liveness map (indexed by node id); dead DataNodes hold no
     /// replicas and are never chosen for placement.
     dead: Vec<bool>,
@@ -82,8 +88,6 @@ pub struct NameNode {
     live: usize,
     default_block_size: u64,
     default_replication: u32,
-    next_file: u64,
-    next_block: u64,
 }
 
 impl NameNode {
@@ -96,17 +100,15 @@ impl NameNode {
         let live = topology.len();
         NameNode {
             topology,
-            files: HashMap::new(),
+            files: Vec::new(),
             paths: HashMap::new(),
-            blocks: HashMap::new(),
-            replicas: HashMap::new(),
+            blocks: Vec::new(),
+            replicas: Vec::new(),
             dead,
             node_blocks,
             live,
             default_block_size,
             default_replication,
-            next_file: 1,
-            next_block: 1,
         }
     }
 
@@ -122,22 +124,25 @@ impl NameNode {
 
     /// Looks up a file by path.
     pub fn lookup(&self, path: &str) -> Option<&FileMeta> {
-        self.paths.get(path).and_then(|id| self.files.get(id))
+        self.paths.get(path).and_then(|id| self.file(*id))
     }
 
     /// File metadata by id.
     pub fn file(&self, id: FileId) -> Option<&FileMeta> {
-        self.files.get(&id)
+        self.files.get(dense_index(id.0)?)
     }
 
     /// Block metadata by id.
     pub fn block(&self, id: BlockId) -> Option<&Block> {
-        self.blocks.get(&id)
+        self.blocks.get(dense_index(id.0)?)
     }
 
-    /// The DataNodes holding replicas of a block.
+    /// The DataNodes holding replicas of a block (empty for an unknown
+    /// block).
     pub fn replicas_of(&self, block: BlockId) -> &[NodeId] {
-        self.replicas.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        dense_index(block.0)
+            .and_then(|i| self.replicas.get(i))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Whether `node` is a live DataNode (in the topology and not
@@ -271,6 +276,9 @@ impl NameNode {
     }
 
     /// Creates a file with explicit block size and replication factor.
+    ///
+    /// Fails with [`DfsError::NoDataNodes`] when the file has blocks and no
+    /// DataNode is live; a failed create assigns no file or block id.
     pub fn create_file_with(
         &mut self,
         path: &str,
@@ -286,37 +294,37 @@ impl NameNode {
         if self.topology.is_empty() {
             return Err(DfsError::NoDataNodes);
         }
-        let file_id = FileId(self.next_file);
-        self.next_file += 1;
-        let mut block_ids = Vec::new();
-        for (index, size) in split_into_blocks(len, block_size).into_iter().enumerate() {
-            let block_id = BlockId(self.next_block);
-            self.next_block += 1;
-            self.blocks.insert(
-                block_id,
-                Block {
-                    id: block_id,
-                    file: file_id,
-                    index: index as u32,
-                    size,
-                },
-            );
-            let placement = self.place_replicas(writer, replication, rng)?;
+        let sizes = split_into_blocks(len, block_size);
+        if !sizes.is_empty() && self.live_count() == 0 {
+            return Err(DfsError::NoDataNodes);
+        }
+        let file_id = FileId(self.files.len() as u64 + 1);
+        let mut block_ids = Vec::with_capacity(sizes.len());
+        for (index, size) in sizes.into_iter().enumerate() {
+            let block_id = BlockId(self.blocks.len() as u64 + 1);
+            let placement = self
+                .place_replicas(writer, replication, rng)
+                .expect("a live DataNode exists");
             for holder in &placement {
                 self.record_holder(*holder, block_id);
             }
-            self.replicas.insert(block_id, placement);
+            self.blocks.push(Block {
+                id: block_id,
+                file: file_id,
+                index: index as u32,
+                size,
+            });
+            self.replicas.push(placement);
             block_ids.push(block_id);
         }
-        let meta = FileMeta {
+        self.files.push(FileMeta {
             id: file_id,
             path: path.to_string(),
             len,
             block_size,
             replication,
             blocks: block_ids,
-        };
-        self.files.insert(file_id, meta);
+        });
         self.paths.insert(path.to_string(), file_id);
         Ok(file_id)
     }
@@ -324,8 +332,7 @@ impl NameNode {
     /// Plans a read of `block` from `reader`: chooses the closest replica.
     pub fn plan_read(&self, block: BlockId, reader: NodeId) -> Result<ReadPlan, DfsError> {
         let meta = self
-            .blocks
-            .get(&block)
+            .block(block)
             .ok_or_else(|| DfsError::NotFound(format!("{block:?}")))?;
         let replicas = self.replicas_of(block);
         if replicas.is_empty() {
@@ -347,7 +354,7 @@ impl NameNode {
     /// Nodes that hold a replica of any block of `file`, used by the
     /// JobTracker to prefer data-local task placement.
     pub fn preferred_nodes(&self, file: FileId) -> Vec<NodeId> {
-        let Some(meta) = self.files.get(&file) else {
+        let Some(meta) = self.file(file) else {
             return Vec::new();
         };
         let mut nodes = Vec::new();
@@ -386,7 +393,7 @@ impl NameNode {
             .map(std::mem::take)
             .unwrap_or_default();
         for block in &affected {
-            if let Some(replicas) = self.replicas.get_mut(block) {
+            if let Some(replicas) = dense_index(block.0).and_then(|i| self.replicas.get_mut(i)) {
                 replicas.retain(|n| *n != node);
             }
         }
@@ -423,20 +430,22 @@ impl NameNode {
         let mut repair = ReplicationRepair::default();
         let live = self.live_count();
         for block in affected {
-            let Some(meta) = self.blocks.get(block) else {
+            let Some(meta) = self.block(*block) else {
                 continue;
             };
             let target = self
-                .files
-                .get(&meta.file)
+                .file(meta.file)
                 .map(|f| f.replication)
                 .unwrap_or(self.default_replication) as usize;
             let target = target.min(live);
-            let mut holders = self.replicas.get(block).cloned().unwrap_or_default();
-            if holders.is_empty() && !graceful {
+            let i = dense_index(block.0).expect("known block");
+            if self.replicas[i].is_empty() && !graceful {
                 repair.lost_blocks += 1;
                 continue;
             }
+            // The list is taken out while placement reads `self`, then put
+            // back in place.
+            let mut holders = std::mem::take(&mut self.replicas[i]);
             while holders.len() < target {
                 match self.pick_distinct(&holders, rng) {
                     Some(n) => {
@@ -447,10 +456,15 @@ impl NameNode {
                     None => break,
                 }
             }
-            self.replicas.insert(*block, holders);
+            self.replicas[i] = holders;
         }
         repair
     }
+}
+
+/// Vector index of the dense id `id` (ids start at 1); `None` for id 0.
+fn dense_index(id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(1)?).ok()
 }
 
 #[cfg(test)]
@@ -668,6 +682,82 @@ mod tests {
             .unwrap();
         let block2 = nn.file(id2).unwrap().blocks[0];
         assert_eq!(nn.replicas_of(block2)[0], NodeId(2));
+    }
+
+    #[test]
+    fn unknown_ids_are_absent_and_never_wrap() {
+        let mut nn = namenode(2, 3);
+        let mut r = rng();
+        assert!(nn.file(FileId(1)).is_none());
+        assert!(nn.block(BlockId(1)).is_none());
+        // An empty namespace first, then one file of two blocks.
+        for _ in 0..2 {
+            for id in [0, 2, u64::MAX] {
+                assert!(nn.file(FileId(id)).is_none(), "file {id}");
+            }
+            for id in [0, 3, u64::MAX] {
+                assert!(nn.block(BlockId(id)).is_none(), "block {id}");
+                assert!(nn.replicas_of(BlockId(id)).is_empty(), "replicas {id}");
+                assert!(nn.plan_read(BlockId(id), NodeId(0)).is_err());
+            }
+            assert!(nn.preferred_nodes(FileId(0)).is_empty());
+            assert_eq!(nn.decommission(NodeId(99)), Vec::<BlockId>::new());
+            let repair = nn.re_replicate(&[BlockId(0), BlockId(u64::MAX)], false, &mut r);
+            assert_eq!(repair, ReplicationRepair::default());
+            if nn.file_count() == 0 {
+                nn.create_file("/two", 2 * 128 * MIB, None, &mut r).unwrap();
+            }
+        }
+        assert_eq!(nn.file(FileId(1)).unwrap().blocks, [BlockId(1), BlockId(2)]);
+        assert_eq!(nn.block(BlockId(2)).unwrap().index, 1);
+    }
+
+    #[test]
+    fn decommission_and_re_replicate_update_replica_lists_in_place() {
+        let mut nn = namenode(2, 3);
+        let mut r = rng();
+        nn.create_file("/a", 3 * 128 * MIB, Some(NodeId(0)), &mut r)
+            .unwrap();
+        let before: Vec<Vec<NodeId>> = (1..=3)
+            .map(|b| nn.replicas_of(BlockId(b)).to_vec())
+            .collect();
+        let affected = nn.decommission(NodeId(0));
+        assert_eq!(affected, [BlockId(1), BlockId(2), BlockId(3)]);
+        for (b, old) in (1..=3).zip(&before) {
+            // Survivors keep their order; only the dead node is gone.
+            let kept: Vec<NodeId> = old.iter().copied().filter(|n| *n != NodeId(0)).collect();
+            assert_eq!(nn.replicas_of(BlockId(b)), kept.as_slice());
+        }
+        let repair = nn.re_replicate(&affected, false, &mut r);
+        assert_eq!(repair.re_replicated, 3);
+        for (b, old) in (1..=3).zip(&before) {
+            let now = nn.replicas_of(BlockId(b));
+            assert_eq!(now.len(), 3);
+            assert_eq!(&now[..2], &old[1..], "repair appends to the survivors");
+            assert!(now.iter().all(|n| nn.is_live(*n)));
+        }
+    }
+
+    #[test]
+    fn a_create_with_no_live_datanode_assigns_no_ids() {
+        let mut nn = namenode(1, 2);
+        let mut r = rng();
+        nn.decommission(NodeId(0));
+        nn.decommission(NodeId(1));
+        assert_eq!(
+            nn.create_file("/f", MIB, None, &mut r),
+            Err(DfsError::NoDataNodes)
+        );
+        assert!(nn.lookup("/f").is_none());
+        assert!(nn.block(BlockId(1)).is_none());
+        // An empty file needs no DataNode.
+        let empty = nn.create_file("/empty", 0, None, &mut r).unwrap();
+        assert_eq!(empty, FileId(1));
+        nn.rejoin(NodeId(1));
+        let id = nn.create_file("/f", MIB, None, &mut r).unwrap();
+        assert_eq!(id, FileId(2));
+        assert_eq!(nn.file(id).unwrap().blocks, [BlockId(1)]);
+        assert_eq!(nn.replicas_of(BlockId(1)), [NodeId(1)]);
     }
 
     #[test]

@@ -51,7 +51,6 @@ use crate::shuffle::ShuffleTracker;
 use crate::tasktracker::{FailedAttempt, TaskTracker};
 use mrp_dfs::{Locality, NameNode, NodeId, RackId, Topology};
 use mrp_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
-use std::collections::VecDeque;
 
 /// Events driving the cluster simulation.
 #[derive(Clone, Debug)]
@@ -632,14 +631,9 @@ impl Cluster {
             // computed periodic heartbeat; on a timestamp tie the heartbeat
             // fires first (either order would be deterministic).
             let wheel_at = self.wheel.peek();
-            let take_wheel = match self.queue.peek_time() {
-                Some(queue_at) => wheel_at <= queue_at,
-                None => true,
-            };
-            let next_at = if take_wheel {
-                wheel_at
-            } else {
-                self.queue.peek_time().expect("checked above")
+            let (take_wheel, next_at) = match self.queue.peek_time() {
+                Some(queue_at) if queue_at < wheel_at => (false, queue_at),
+                _ => (true, wheel_at),
             };
             if next_at > max_time {
                 break;
@@ -1858,32 +1852,25 @@ impl Cluster {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
 
-        let mut tasks = Vec::new();
+        let mut tasks;
         let mut total_map_input: u64 = 0;
         match &spec.input {
             MapInput::DfsFile { path } => {
-                let file = self
-                    .namenode
-                    .lookup(path)
-                    .unwrap_or_else(|| {
-                        panic!("input file {path} does not exist in the simulated HDFS")
-                    })
-                    .clone();
+                let file = self.namenode.lookup(path).unwrap_or_else(|| {
+                    panic!("input file {path} does not exist in the simulated HDFS")
+                });
+                tasks = Vec::with_capacity(file.blocks.len() + spec.reduce_tasks as usize);
                 for (i, block_id) in file.blocks.iter().enumerate() {
-                    let block = self
-                        .namenode
-                        .block(*block_id)
-                        .expect("block metadata")
-                        .clone();
+                    let size = self.namenode.block(*block_id).expect("block metadata").size;
                     let preferred = self.namenode.replicas_of(*block_id).to_vec();
-                    total_map_input += block.size;
+                    total_map_input += size;
                     tasks.push(TaskRuntime::new(
                         TaskId {
                             job: id,
                             kind: TaskKind::Map,
                             index: i as u32,
                         },
-                        block.size,
+                        size,
                         preferred,
                     ));
                 }
@@ -1892,6 +1879,7 @@ impl Cluster {
                 tasks: n,
                 bytes_per_task,
             } => {
+                tasks = Vec::with_capacity(*n as usize + spec.reduce_tasks as usize);
                 for i in 0..*n {
                     total_map_input += bytes_per_task;
                     tasks.push(TaskRuntime::new(
@@ -2028,6 +2016,34 @@ impl Cluster {
 
         // 2. Deliver pending MUST_* commands piggybacked on this heartbeat.
         //    The per-node command index replaces the old O(jobs x tasks) scan.
+        if !self.pending_cmds[node_idx].is_empty() {
+            self.deliver_commands(node, now);
+        }
+
+        // 3. Let the scheduling policy hand out work for this node.
+        self.refresh_views();
+        let actions = {
+            let ctx = SchedulerContext {
+                now,
+                jobs: &self.jobs,
+                nodes: &self.views,
+                racks: &self.rack_views,
+                topology: self.namenode.topology(),
+                totals: self.totals,
+                speculation: self.config.speculation,
+                delay: Some(&self.delay),
+                shuffle: Some(&self.shuffle),
+                reliability: Some(&self.reliability),
+            };
+            self.scheduler.on_heartbeat(&ctx, node)
+        };
+        self.apply_actions(actions, now);
+    }
+
+    /// Delivers `node`'s pending `MUST_*` commands (step 2 of a heartbeat)
+    /// and keeps the ones that could not be delivered yet.
+    fn deliver_commands(&mut self, node: NodeId, now: SimTime) {
+        let node_idx = node.0 as usize;
         let mut pending = std::mem::take(&mut self.pending_cmds[node_idx]);
         for &task in &pending {
             let Some(t) = self.task(task) else { continue };
@@ -2058,25 +2074,6 @@ impl Cluster {
                 list.push(task);
             }
         }
-
-        // 3. Let the scheduling policy hand out work for this node.
-        self.refresh_views();
-        let actions = {
-            let ctx = SchedulerContext {
-                now,
-                jobs: &self.jobs,
-                nodes: &self.views,
-                racks: &self.rack_views,
-                topology: self.namenode.topology(),
-                totals: self.totals,
-                speculation: self.config.speculation,
-                delay: Some(&self.delay),
-                shuffle: Some(&self.shuffle),
-                reliability: Some(&self.reliability),
-            };
-            self.scheduler.on_heartbeat(&ctx, node)
-        };
-        self.apply_actions(actions, now);
     }
 
     fn deliver_suspend(&mut self, task: TaskId, node: NodeId, now: SimTime) {
@@ -2831,8 +2828,7 @@ impl Cluster {
         // array indices mirror [`crate::obs::ACTION_KINDS`].
         let timer = self.obs.as_mut().and_then(|o| o.action_timer());
         let mut acted = [0u32; 6];
-        let mut queue: VecDeque<SchedulerAction> = actions.into();
-        while let Some(action) = queue.pop_front() {
+        for action in actions {
             if self.obs.is_some() {
                 let idx = match &action {
                     SchedulerAction::SubmitJob(_) => 0,

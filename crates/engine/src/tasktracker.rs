@@ -13,9 +13,8 @@
 use crate::attempt::{Attempt, AttemptState, ExecPlan};
 use crate::job::{AttemptId, TaskKind};
 use mrp_dfs::NodeId;
-use mrp_sim::{SimDuration, SimTime};
+use mrp_sim::{SimDuration, SimTime, VecMap};
 use mrp_simos::{Kernel, NodeOsConfig, OsError, Pid, Signal};
-use std::collections::BTreeMap;
 
 /// Result of allocating a task's memory at the end of its setup phase.
 #[derive(Clone, Debug, Default)]
@@ -95,9 +94,10 @@ impl From<OsError> for TrackerError {
 
 /// The per-node TaskTracker.
 ///
-/// Attempts are kept in a `BTreeMap` so every iteration over them is
+/// Attempts are kept in a map sorted by id so every iteration over them is
 /// deterministic (std `HashMap` ordering varies per process run, which would
-/// leak nondeterminism into scheduler decisions and reports). The tracker also
+/// leak nondeterminism into scheduler decisions and reports). A node holds
+/// only a few attempts, so the map is a sorted vector ([`VecMap`]). The tracker also
 /// maintains a `dirty` flag so the cluster can refresh only the per-node
 /// scheduler views whose slot occupancy actually changed since the last
 /// heartbeat, instead of rebuilding every view on every event.
@@ -110,7 +110,7 @@ pub struct TaskTracker {
     reduce_slots: u32,
     used_map_slots: u32,
     used_reduce_slots: u32,
-    attempts: BTreeMap<AttemptId, Attempt>,
+    attempts: VecMap<AttemptId, Attempt>,
     dirty: bool,
     /// False while the node is failed or decommissioned: a dead tracker
     /// reports zero free slots, accepts no launches, and its heartbeats are
@@ -139,7 +139,7 @@ impl TaskTracker {
             reduce_slots,
             used_map_slots: 0,
             used_reduce_slots: 0,
-            attempts: BTreeMap::new(),
+            attempts: VecMap::new(),
             dirty: true,
             alive: true,
             epoch: 0,

@@ -10,10 +10,11 @@
 //!
 //! Cancellation is slab/generation based rather than tombstone based. Every
 //! scheduled event owns a slot in a slab; the slot records a generation
-//! counter and a liveness bit, and the [`EventId`] handed to the caller packs
-//! `(slot, generation)`. Cancelling flips the liveness bit (O(1)); the heap
-//! entry is discarded lazily when it surfaces, at which point the slot's
-//! generation is bumped and the slot is recycled. Consequences:
+//! counter and holds the payload while the event is pending, and the
+//! [`EventId`] handed to the caller packs `(slot, generation)`. Cancelling
+//! drops the payload (O(1)); the heap key is discarded lazily when it
+//! surfaces, at which point the slot's generation is bumped and the slot is
+//! recycled. Consequences:
 //!
 //! * `cancel()` of an id whose event already fired (or whose slot was
 //!   recycled) is a guaranteed no-op — the generation no longer matches, so
@@ -23,10 +24,31 @@
 //! * memory for cancelled events is reclaimed as the heap drains, and slots
 //!   are reused, so long-running simulations with heavy cancellation churn
 //!   (suspend/resume preemption cancels a timer per preemption) stay compact.
+//!
+//! # Heap layout
+//!
+//! The heap is a 4-ary min-heap of 16-byte keys, `(at_micros, seq << 24 |
+//! slot)`, packed into one `u128` so a comparison is a single integer
+//! compare. The payload stays in its slab slot and never moves while the
+//! heap reorders, and a node's four children are 64 contiguous bytes, so a
+//! sift-down step compares them within one or two cache lines (a binary heap
+//! of 56-byte entries touched one line per entry). Sequence numbers are
+//! unique, so the slot bits never decide an order: equal timestamps pop in
+//! insertion (FIFO) order.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+
+/// Bits of a heap key's low word that hold the slab slot; the sequence
+/// number takes the remaining 40.
+const SLOT_BITS: u32 = 24;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+/// Exclusive bound on slab slots (events scheduled and not yet popped,
+/// including cancelled ones whose key is still in the heap).
+const MAX_SLOTS: usize = 1 << SLOT_BITS;
+/// Exclusive bound on the sequence number stored above the slot bits.
+const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
+/// Heap arity.
+const ARITY: usize = 4;
 
 /// Handle that identifies a scheduled event so it can be cancelled.
 ///
@@ -53,46 +75,51 @@ impl EventId {
     }
 }
 
-/// One slab slot: the current generation and whether the event that owns the
-/// slot is still pending.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
+/// One slab slot: the current generation and, while the owning event is
+/// pending, its payload (`None` once cancelled or popped).
+#[derive(Debug)]
+struct Slot<E> {
     generation: u32,
-    live: bool,
+    payload: Option<E>,
 }
 
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    payload: E,
+/// A heap key: timestamp in the high word, `seq << SLOT_BITS | slot` in the
+/// low word.
+type Key = u128;
+
+/// The heap key of the event with sequence number `seq` at `at` in `slot`.
+///
+/// # Panics
+/// Panics if `slot` or `seq` does not fit its bits: a wrapped key would
+/// reorder events silently.
+#[inline]
+fn pack_key(at: SimTime, seq: u64, slot: usize) -> Key {
+    assert!(
+        slot < MAX_SLOTS,
+        "event queue slot index overflow: more than {MAX_SLOTS} events in flight"
+    );
+    assert!(
+        seq < MAX_SEQ,
+        "event queue sequence overflow after {MAX_SEQ} events"
+    );
+    u128::from(at.as_micros()) << 64 | u128::from(seq << SLOT_BITS | slot as u64)
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+#[inline]
+fn key_time(key: Key) -> SimTime {
+    SimTime::from_micros((key >> 64) as u64)
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+
+#[inline]
+fn key_slot(key: Key) -> usize {
+    (key as u64 & SLOT_MASK) as usize
 }
 
 /// A deterministic, cancellable event queue keyed by [`SimTime`].
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    slots: Vec<Slot>,
+    /// 4-ary min-heap of keys; the root is the next event.
+    heap: Vec<Key>,
+    slots: Vec<Slot<E>>,
     free_slots: Vec<u32>,
     next_seq: u64,
     pending: usize,
@@ -108,20 +135,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            next_seq: 0,
-            pending: 0,
-            now: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue sized for roughly `capacity` in-flight events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
+            heap: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
             free_slots: Vec::new(),
             next_seq: 0,
@@ -157,6 +177,10 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `at` is in the past (before [`Self::now`]); scheduling in the
     /// past would silently reorder history and is always a logic error.
+    /// Also panics if more than 2^24 events are scheduled and not yet popped,
+    /// or after 2^40 schedules in total: the heap key has no room for a
+    /// larger slot index or sequence number, and wrapping would reorder
+    /// events silently.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
         assert!(
             at >= self.now,
@@ -166,30 +190,23 @@ impl<E> EventQueue<E> {
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 let entry = &mut self.slots[slot as usize];
-                debug_assert!(!entry.live, "free slot must not be live");
-                entry.live = true;
+                debug_assert!(entry.payload.is_none(), "free slot must not be live");
+                entry.payload = Some(payload);
                 slot
             }
             None => {
-                let slot = self.slots.len() as u32;
                 self.slots.push(Slot {
                     generation: 0,
-                    live: true,
+                    payload: Some(payload),
                 });
-                slot
+                (self.slots.len() - 1) as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        let seq = self.next_seq;
+        let key = pack_key(at, self.next_seq, slot as usize);
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq,
-            slot,
-            payload,
-        });
+        self.push_key(key);
         self.pending += 1;
-        EventId::new(slot, generation)
+        EventId::new(slot, self.slots[slot as usize].generation)
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that already
@@ -197,34 +214,31 @@ impl<E> EventQueue<E> {
     /// the id no longer matches the slot, so the handle is simply stale.
     pub fn cancel(&mut self, id: EventId) {
         if let Some(slot) = self.slots.get_mut(id.slot() as usize) {
-            if slot.live && slot.generation == id.generation() {
-                slot.live = false;
+            if slot.generation == id.generation() && slot.payload.take().is_some() {
                 self.pending -= 1;
             }
         }
     }
 
-    /// Recycles the slot of a heap entry that has just been removed from the
-    /// heap. Returns whether the event was still live (not cancelled).
+    /// Recycles the slot of a key that has just been removed from the heap.
+    /// Returns the payload if the event was still live (not cancelled).
     #[inline]
-    fn retire_slot(&mut self, slot: u32) -> bool {
-        let entry = &mut self.slots[slot as usize];
-        let was_live = entry.live;
-        entry.live = false;
+    fn retire_slot(&mut self, slot: usize) -> Option<E> {
+        let entry = &mut self.slots[slot];
         entry.generation = entry.generation.wrapping_add(1);
-        self.free_slots.push(slot);
-        was_live
+        self.free_slots.push(slot as u32);
+        entry.payload.take()
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Cancelled events are skipped silently.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(ev) = self.heap.pop() {
-            let live = self.retire_slot(ev.slot);
-            if live {
+        while let Some(key) = self.pop_key() {
+            if let Some(payload) = self.retire_slot(key_slot(key)) {
                 self.pending -= 1;
-                self.now = ev.at;
-                return Some((ev.at, ev.payload));
+                let at = key_time(key);
+                self.now = at;
+                return Some((at, payload));
             }
         }
         None
@@ -234,12 +248,12 @@ impl<E> EventQueue<E> {
     /// advance the clock.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled events lazily so peek is accurate.
-        while let Some(ev) = self.heap.peek() {
-            if self.slots[ev.slot as usize].live {
-                return Some(ev.at);
+        while let Some(&key) = self.heap.first() {
+            if self.slots[key_slot(key)].payload.is_some() {
+                return Some(key_time(key));
             }
-            let ev = self.heap.pop().expect("peeked event must exist");
-            self.retire_slot(ev.slot);
+            self.pop_key();
+            self.retire_slot(key_slot(key));
         }
         None
     }
@@ -253,6 +267,56 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
+    }
+
+    /// Inserts `key` and sifts it up to its place.
+    fn push_key(&mut self, key: Key) {
+        let heap = &mut self.heap;
+        let mut i = heap.len();
+        heap.push(key);
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if heap[parent] <= key {
+                break;
+            }
+            heap[i] = heap[parent];
+            i = parent;
+        }
+        heap[i] = key;
+    }
+
+    /// Removes and returns the smallest key.
+    fn pop_key(&mut self) -> Option<Key> {
+        let heap = &mut self.heap;
+        let last = heap.pop()?;
+        let Some(&top) = heap.first() else {
+            return Some(last);
+        };
+        // Sift the former last key down from the root.
+        let len = heap.len();
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let siblings = &heap[first..(first + ARITY).min(len)];
+            let mut child = first;
+            let mut child_key = siblings[0];
+            for (offset, &key) in siblings.iter().enumerate().skip(1) {
+                if key < child_key {
+                    child = first + offset;
+                    child_key = key;
+                }
+            }
+            if last <= child_key {
+                break;
+            }
+            heap[i] = child_key;
+            i = child;
+        }
+        heap[i] = last;
+        Some(top)
     }
 }
 
@@ -384,6 +448,30 @@ mod tests {
         q.cancel(ids[3]);
         assert_eq!(q.len(), 3);
         let _ = SimDuration::ZERO; // keep the import exercised
+    }
+
+    #[test]
+    fn keys_round_trip_at_the_largest_slot_and_sequence() {
+        let at = SimTime::from_micros(u64::MAX);
+        let key = pack_key(at, MAX_SEQ - 1, MAX_SLOTS - 1);
+        assert_eq!(key_time(key), at);
+        assert_eq!(key_slot(key), MAX_SLOTS - 1);
+        // The sequence number, not the slot, orders equal timestamps.
+        assert!(pack_key(at, 1, MAX_SLOTS - 1) < pack_key(at, 2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot index overflow")]
+    fn slot_index_overflow_panics() {
+        pack_key(SimTime::ZERO, 0, MAX_SLOTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence overflow")]
+    fn sequence_overflow_panics_instead_of_wrapping() {
+        let mut q = EventQueue::new();
+        q.next_seq = MAX_SEQ;
+        q.schedule(SimTime::ZERO, ());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! [`SimDuration`]), a deterministic cancellable event queue
 //! ([`EventQueue`]), a seeded random number generator ([`SimRng`]), the
 //! statistics helpers ([`Summary`], [`OnlineStats`]) used by the experiment
-//! harness to reproduce the paper's figures, and the observability
+//! harness to reproduce the paper's figures, the small sorted-vector map
+//! ([`VecMap`]) that per-node state is kept in, and the observability
 //! primitives ([`MetricsRegistry`], [`TimeSeriesSampler`], [`LoopProfiler`])
 //! that the engine threads through its event loop.
 //!
@@ -31,6 +32,7 @@ mod profile;
 mod rng;
 mod stats;
 mod time;
+mod vecmap;
 
 pub use events::{EventId, EventQueue};
 pub use metrics::{
@@ -40,6 +42,7 @@ pub use profile::{LoopProfiler, ProfileReport, ProfileRow, ACTION_SAMPLE_EVERY};
 pub use rng::SimRng;
 pub use stats::{percentile, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
+pub use vecmap::VecMap;
 
 /// Number of bytes in one mebibyte; sizes throughout the workspace are plain
 /// `u64` byte counts and these constants keep call sites readable.
@@ -55,9 +58,9 @@ mod randomized_tests {
 
     use super::*;
 
-    /// Reference implementation of the queue's ordering contract: a sorted
-    /// vector popped front-first, with (timestamp, insertion sequence) order
-    /// and eager removal on cancellation.
+    /// Reference implementation of the queue's ordering contract: a vector
+    /// kept sorted by descending (timestamp, insertion sequence) and popped
+    /// from the back, with eager removal on cancellation.
     struct NaiveQueue<E> {
         entries: Vec<(SimTime, u64, u64, E)>, // (at, seq, id, payload)
         next_seq: u64,
@@ -78,26 +81,21 @@ mod randomized_tests {
             self.next_id += 1;
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.entries.push((at, seq, id, payload));
+            // Sequence numbers only grow, so the new entry pops after every
+            // entry at or before `at`: it goes just behind the later ones.
+            let i = self.entries.partition_point(|(t, ..)| *t > at);
+            self.entries.insert(i, (at, seq, id, payload));
             id
         }
 
         fn cancel(&mut self, id: u64) {
-            self.entries.retain(|(_, _, eid, _)| *eid != id);
+            if let Some(i) = self.entries.iter().position(|(_, _, eid, _)| *eid == id) {
+                self.entries.remove(i);
+            }
         }
 
         fn pop(&mut self) -> Option<(SimTime, E)> {
-            if self.entries.is_empty() {
-                return None;
-            }
-            let best = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (at, seq, _, _))| (*at, *seq))
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let (at, _, _, payload) = self.entries.remove(best);
+            let (at, _, _, payload) = self.entries.pop()?;
             Some((at, payload))
         }
 
@@ -170,6 +168,116 @@ mod randomized_tests {
                 }
             }
             assert_eq!(fast.len(), 0);
+        }
+    }
+
+    /// Large queues: at least 10k live events, in bursts of up to 400 equal
+    /// timestamps, so FIFO ties are resolved several levels deep in the
+    /// heap. Each case fills the queue, interleaves pops, cancels and new
+    /// bursts while it stays above 10k, then drains; every pop and `len()`
+    /// must match the naive reference.
+    #[test]
+    fn large_queue_with_tie_bursts_matches_naive_reference() {
+        fn burst(
+            fast: &mut EventQueue<u64>,
+            naive: &mut NaiveQueue<u64>,
+            live: &mut Vec<(EventId, u64)>,
+            rng: &mut SimRng,
+            floor: SimTime,
+        ) {
+            // Few distinct timestamps, many events each.
+            let at = floor + SimDuration::from_micros(rng.index(64) as u64);
+            for _ in 0..1 + rng.index(400) {
+                let payload = rng.next_u64();
+                live.push((fast.schedule(at, payload), naive.schedule(at, payload)));
+            }
+        }
+        for case in 0..3u64 {
+            let mut rng = SimRng::new(0xB16 + case);
+            let mut fast = EventQueue::new();
+            let mut naive = NaiveQueue::new();
+            let mut live: Vec<(EventId, u64)> = Vec::new();
+            let mut floor = SimTime::ZERO;
+            while fast.len() < 12_000 {
+                burst(&mut fast, &mut naive, &mut live, &mut rng, floor);
+            }
+            let mut low = fast.len();
+            for _ in 0..4_000 {
+                match rng.index(100) {
+                    0 => burst(&mut fast, &mut naive, &mut live, &mut rng, floor),
+                    1..=30 => {
+                        let (fid, nid) = live.swap_remove(rng.index(live.len()));
+                        fast.cancel(fid);
+                        naive.cancel(nid);
+                    }
+                    _ => {
+                        let f = fast.pop();
+                        assert_eq!(f, naive.pop(), "pop mismatch (case {case})");
+                        floor = f.expect("queue stays large").0;
+                    }
+                }
+                assert_eq!(fast.len(), naive.len(), "len drift (case {case})");
+                low = low.min(fast.len());
+            }
+            assert!(low >= 10_000, "queue fell to {low} live events");
+            loop {
+                let f = fast.pop();
+                assert_eq!(f, naive.pop(), "drain mismatch (case {case})");
+                if f.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// `VecMap` agrees with `BTreeMap` on every return value and on
+    /// iteration order under random insert, replace, remove and lookup
+    /// sequences, both as a map and as a set (`VecMap<K, ()>` against
+    /// `BTreeSet`).
+    #[test]
+    fn vec_map_matches_btree_under_random_operations() {
+        use std::collections::{BTreeMap, BTreeSet};
+        for case in 0..200u64 {
+            let mut rng = SimRng::new(0x5E7 + case);
+            // Small key spaces make replaces and misses common.
+            let keys = 1 + rng.index(40) as u64;
+            let mut map = VecMap::new();
+            let mut map_ref = BTreeMap::new();
+            let mut set = VecMap::new();
+            let mut set_ref = BTreeSet::new();
+            for step in 0..1 + rng.index(300) {
+                let k = rng.next_u64() % keys;
+                let v = rng.next_u64();
+                match rng.index(6) {
+                    0 | 1 => {
+                        assert_eq!(map.insert(k, v), map_ref.insert(k, v));
+                        assert_eq!(set.insert(k, ()).is_none(), set_ref.insert(k));
+                    }
+                    2 => {
+                        assert_eq!(map.remove(&k), map_ref.remove(&k));
+                        assert_eq!(set.remove(&k).is_some(), set_ref.remove(&k));
+                    }
+                    3 => {
+                        if let (Some(a), Some(b)) = (map.get_mut(&k), map_ref.get_mut(&k)) {
+                            *a ^= v;
+                            *b ^= v;
+                        }
+                    }
+                    _ => {
+                        assert_eq!(map.get(&k), map_ref.get(&k));
+                        assert_eq!(map.contains_key(&k), map_ref.contains_key(&k));
+                        assert_eq!(set.contains_key(&k), set_ref.contains(&k));
+                    }
+                }
+                assert_eq!(map.len(), map_ref.len(), "case {case} step {step}");
+                assert_eq!(set.len(), set_ref.len(), "case {case} step {step}");
+            }
+            assert!(map.iter().eq(map_ref.iter()), "map order (case {case})");
+            assert!(map.values().eq(map_ref.values()));
+            assert!(
+                set.iter().map(|(k, ())| k).eq(set_ref.iter()),
+                "set order (case {case})"
+            );
         }
     }
 

@@ -17,7 +17,6 @@ use crate::process::{Pid, Process};
 use crate::signal::{transition, OsError, ProcessState, Signal, SignalEffect};
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Full OS configuration of one simulated node.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -47,14 +46,19 @@ pub struct SignalOutcome {
     pub released_bytes: u64,
 }
 
+/// The first pid a kernel hands out; later pids follow densely.
+const FIRST_PID: u32 = 1000;
+
 /// The simulated per-node operating system kernel.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Kernel {
     config: NodeOsConfig,
-    processes: HashMap<Pid, Process>,
+    /// The process table, indexed by `pid - FIRST_PID`. Pids are handed out
+    /// densely and entries are never removed (terminated processes keep
+    /// their final state), so the table is a plain vector.
+    processes: Vec<Process>,
     memory: MemoryManager,
     disk: Disk,
-    next_pid: u32,
 }
 
 impl Kernel {
@@ -64,8 +68,7 @@ impl Kernel {
             memory: MemoryManager::new(config.memory.clone()),
             disk: Disk::new(config.disk.clone()),
             config,
-            processes: HashMap::new(),
-            next_pid: 1000,
+            processes: Vec::new(),
         }
     }
 
@@ -98,27 +101,35 @@ impl Kernel {
 
     /// Iterates over all process table entries (including terminated ones).
     pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.processes.values()
+        self.processes.iter()
     }
 
     /// Spawns a new process (a task JVM forked by the TaskTracker).
     pub fn spawn(&mut self, name: impl Into<String>, now: SimTime) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.processes.insert(pid, Process::new(pid, name, now));
+        let pid = Pid(FIRST_PID + self.processes.len() as u32);
+        self.processes.push(Process::new(pid, name, now));
         self.memory.register(pid, now);
         pid
     }
 
     /// Looks up a process table entry.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.processes.get(&pid)
+        self.processes.get(Self::slot(pid)?)
+    }
+
+    fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        self.processes.get_mut(Self::slot(pid)?)
+    }
+
+    /// Index of `pid` in the process table; `None` for pids below the
+    /// first one handed out.
+    fn slot(pid: Pid) -> Option<usize> {
+        pid.0.checked_sub(FIRST_PID).map(|i| i as usize)
     }
 
     /// The run state of a process, or an error if it never existed.
     pub fn state(&self, pid: Pid) -> Result<ProcessState, OsError> {
-        self.processes
-            .get(&pid)
+        self.process(pid)
             .map(|p| p.state)
             .ok_or(OsError::NoSuchProcess)
     }
@@ -182,10 +193,7 @@ impl Kernel {
             }
             SignalEffect::Ignored => {}
         }
-        let entry = self
-            .processes
-            .get_mut(&pid)
-            .expect("state() checked existence");
+        let entry = self.process_mut(pid).expect("state() checked existence");
         match new_state {
             ProcessState::Killed(sig) => entry.killed_by(sig, now),
             other => entry.set_state(other, now),
@@ -208,8 +216,7 @@ impl Kernel {
             .map(|m| m.virtual_size())
             .unwrap_or(0);
         self.memory.remove(pid)?;
-        self.processes
-            .get_mut(&pid)
+        self.process_mut(pid)
             .expect("checked above")
             .exit(code, now);
         Ok(released)
@@ -495,6 +502,16 @@ mod tests {
     #[test]
     fn unknown_pid_errors() {
         let mut k = kernel();
+        k.spawn("only", SimTime::ZERO);
+        for ghost in [
+            Pid(0),
+            Pid(FIRST_PID - 1),
+            Pid(FIRST_PID + 1),
+            Pid(u32::MAX),
+        ] {
+            assert!(k.process(ghost).is_none());
+            assert_eq!(k.state(ghost), Err(OsError::NoSuchProcess));
+        }
         let ghost = Pid(9999);
         assert!(k.signal(ghost, Signal::Sigtstp, SimTime::ZERO).is_err());
         assert!(k.allocate(ghost, 1, 1.0, SimTime::ZERO).is_err());

@@ -24,9 +24,8 @@
 use crate::process::Pid;
 use crate::signal::OsError;
 use crate::swapdev::{SwapConfig, SwapDevice};
-use mrp_sim::{SimTime, GIB, MIB};
+use mrp_sim::{SimTime, VecMap, GIB, MIB};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
 
 /// Static memory configuration of a simulated node.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -199,16 +198,19 @@ fn victim_key(pm: &ProcMemory, pid: Pid) -> VictimKey {
 /// Victim selection is backed by an ordered index (`lru`) maintained
 /// incrementally on register / touch / suspend / remove, so each `reclaim`
 /// walks candidates in eviction order directly instead of collecting and
-/// sorting every process table entry per call. Total resident bytes are a
+/// sorting every process table entry per call. A node runs only a handful
+/// of processes, so both tables are sorted vectors: a lookup is a binary
+/// search over a few contiguous keys. Total resident bytes are a
 /// counter updated on every byte movement, not an O(processes) sum — both
 /// matter because `free_ram()` runs on every allocation in the simulation's
 /// hot path.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MemoryManager {
     config: MemoryConfig,
-    procs: HashMap<Pid, ProcMemory>,
-    /// Ordered eviction-victim index; one entry per registered process.
-    lru: BTreeSet<VictimKey>,
+    procs: VecMap<Pid, ProcMemory>,
+    /// Ordered eviction-victim index (a set: the values are `()`); one
+    /// entry per registered process.
+    lru: VecMap<VictimKey, ()>,
     /// Sum of `resident()` over all registered processes.
     resident_total: u64,
     file_cache: u64,
@@ -239,8 +241,8 @@ impl MemoryManager {
             .then(|| SwapDevice::new(config.swap_capacity, config.swap.block_size));
         MemoryManager {
             config,
-            procs: HashMap::new(),
-            lru: BTreeSet::new(),
+            procs: VecMap::new(),
+            lru: VecMap::new(),
             resident_total: 0,
             file_cache: 0,
             swap_used: 0,
@@ -259,7 +261,7 @@ impl MemoryManager {
         let pm = self.procs.get_mut(&pid).ok_or(OsError::NoSuchProcess)?;
         self.lru.remove(&victim_key(pm, pid));
         let out = mutate(pm);
-        self.lru.insert(victim_key(pm, pid));
+        self.lru.insert(victim_key(pm, pid), ());
         Ok(out)
     }
 
@@ -325,7 +327,7 @@ impl MemoryManager {
             last_touch: now,
             ..ProcMemory::default()
         };
-        self.lru.insert(victim_key(&pm, pid));
+        self.lru.insert(victim_key(&pm, pid), ());
         self.procs.insert(pid, pm);
     }
 
@@ -373,7 +375,7 @@ impl MemoryManager {
     fn victim_order(&self, exclude: Pid) -> Vec<Pid> {
         self.lru
             .iter()
-            .map(|(_, _, pid)| *pid)
+            .map(|(&(_, _, pid), ())| pid)
             .filter(|pid| *pid != exclude && self.procs[pid].resident() > 0)
             .collect()
     }
@@ -682,7 +684,7 @@ impl MemoryManager {
             ));
         }
         for (pid, pm) in &self.procs {
-            if !self.lru.contains(&victim_key(pm, *pid)) {
+            if !self.lru.contains_key(&victim_key(pm, *pid)) {
                 return Err(format!(
                     "victim index disagrees with last_touch/suspended of {pid:?}"
                 ));
@@ -733,7 +735,7 @@ impl MemoryManager {
     /// first, then least-recently touched, pid as the tiebreaker. Exposed so
     /// the differential tests can compare victim order across models.
     pub fn victim_order_snapshot(&self) -> Vec<Pid> {
-        self.lru.iter().map(|&(_, _, pid)| pid).collect()
+        self.lru.iter().map(|(&(_, _, pid), ())| pid).collect()
     }
 }
 
