@@ -1,157 +1,21 @@
 //! Cluster-scale simulation-core throughput: events/sec on a 200-node,
 //! >2000-task workload with suspend/resume preemption churn.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
-//! 1. **events/sec** of the optimized core on the large scenario (the number
-//!    tracked across PRs in `BENCH_sim_throughput.json`);
-//! 2. the same scenario with the pre-refactor engine's per-heartbeat costs
-//!    *emulated* on top (full node-view rebuild with fresh allocations plus
-//!    the O(jobs x tasks) MUST_* command scan that the command index
-//!    replaced) — the seed tree had no manifests and never built, so this
-//!    emulation is the reference point for the speedup ratio;
-//! 3. a queue-level microbenchmark of the slab/generation [`EventQueue`]
+//! 1. **events/sec** of the core on the large scenario (the number tracked
+//!    across PRs in `BENCH_sim_throughput.json`);
+//! 2. a queue-level microbenchmark of the slab/generation [`EventQueue`]
 //!    against a naive sorted-vec queue under schedule/cancel/pop churn.
 //!
-//! Determinism is asserted on every run: the optimized and emulated runs must
-//! produce byte-identical `ClusterReport`s from the same seed.
+//! Determinism is asserted on every run: two runs, and a run with the full
+//! observability layer on, must produce byte-identical `ClusterReport`s from
+//! the same seed.
 
 use mrp_bench::scenarios::{hfsp, sim_throughput as scenario};
 use mrp_bench::Bench;
-use mrp_engine::{NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy, TaskId, TaskState};
 use mrp_sim::{EventQueue, SimRng, SimTime};
 use std::time::Instant;
-
-/// One pre-refactor node-view snapshot: (id, free map, free reduce, running,
-/// suspended).
-type LegacyView = (NodeId, u32, u32, Vec<TaskId>, Vec<TaskId>);
-
-/// Wraps a policy and re-performs, on every heartbeat, the work the
-/// pre-refactor stack did unconditionally:
-///
-/// * the engine rebuilt every node view with fresh allocations
-///   (`node_views()`) before each scheduler invocation;
-/// * the engine scanned every task of every job for pending `MUST_*`
-///   commands addressed to the heartbeating node;
-/// * the HFSP policy recomputed the full remaining-size order (O(jobs x
-///   tasks) plus a sort) and `fill_node` scanned every ordered job's task
-///   list, even when the node had no free slots.
-///
-/// The refactor replaced these with dirty-tracked view buffers, a per-node
-/// command index, and no-free-slot early exits.
-struct LegacyOverhead {
-    inner: Box<dyn SchedulerPolicy>,
-}
-
-impl LegacyOverhead {
-    /// The pre-refactor engine rebuilt every node view (fresh allocations)
-    /// before *every* scheduler hook invocation, not only heartbeats.
-    fn rebuild_views(ctx: &SchedulerContext<'_>) {
-        let views: Vec<LegacyView> = ctx
-            .nodes
-            .iter()
-            .map(|v| {
-                (
-                    v.id,
-                    v.free_map_slots,
-                    v.free_reduce_slots,
-                    v.running.clone(),
-                    v.suspended.clone(),
-                )
-            })
-            .collect();
-        std::hint::black_box(&views);
-    }
-}
-
-impl SchedulerPolicy for LegacyOverhead {
-    fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        // Engine side: full node-view rebuild.
-        Self::rebuild_views(ctx);
-        // Engine side: O(jobs x tasks) MUST_* command scan.
-        let pending: Vec<(TaskId, TaskState)> = ctx
-            .jobs
-            .values()
-            .flat_map(|j| j.tasks.iter())
-            .filter(|t| t.node == Some(node))
-            .filter(|t| {
-                matches!(
-                    t.state,
-                    TaskState::MustSuspend | TaskState::MustResume | TaskState::MustKill
-                )
-            })
-            .map(|t| (t.id, t.state))
-            .collect();
-        std::hint::black_box(&pending);
-        // Policy side: unconditional remaining-size ordering plus the full
-        // per-job task scans of the old fill_node.
-        let mut sizes: Vec<(mrp_engine::JobId, u64)> = ctx
-            .jobs
-            .iter()
-            .filter(|(_, j)| !j.is_complete())
-            .map(|(id, j)| {
-                let size: u64 = j
-                    .tasks
-                    .iter()
-                    .filter(|t| !t.state.is_terminal())
-                    .map(|t| ((1.0 - t.progress).max(0.0) * t.input_bytes as f64) as u64)
-                    .sum();
-                (*id, size)
-            })
-            .collect();
-        sizes.sort_by_key(|(id, size)| (*size, *id));
-        let mut scannable = 0usize;
-        for (id, _) in &sizes {
-            if let Some(j) = ctx.jobs.get(id) {
-                scannable += j
-                    .tasks
-                    .iter()
-                    .filter(|t| t.state.is_schedulable() || t.state == TaskState::Suspended)
-                    .count();
-            }
-        }
-        std::hint::black_box((&sizes, scannable));
-        // Engine side: the old run loop evaluated `all_jobs_complete()` — an
-        // O(jobs) scan whose per-job `is_complete()` walks the whole task
-        // list of every already-completed job — on *every* event. Replaying
-        // it only on heartbeats (a subset of events) keeps the emulation
-        // conservative.
-        let complete = ctx.jobs.values().all(|j| j.is_complete());
-        std::hint::black_box(complete);
-        self.inner.on_heartbeat(ctx, node)
-    }
-
-    fn on_job_submitted(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        job: mrp_engine::JobId,
-    ) -> Vec<SchedulerAction> {
-        Self::rebuild_views(ctx);
-        self.inner.on_job_submitted(ctx, job)
-    }
-
-    fn on_task_finished(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        task: TaskId,
-    ) -> Vec<SchedulerAction> {
-        Self::rebuild_views(ctx);
-        self.inner.on_task_finished(ctx, task)
-    }
-
-    fn on_job_finished(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        job: mrp_engine::JobId,
-    ) -> Vec<SchedulerAction> {
-        Self::rebuild_views(ctx);
-        self.inner.on_job_finished(ctx, job)
-    }
-
-    fn name(&self) -> &str {
-        "legacy-overhead"
-    }
-}
 
 /// Queue-level churn comparison: the slab/generation queue vs a naive sorted
 /// insert queue over the same deterministic op mix. Returns (fast_ops_per_sec,
@@ -305,17 +169,6 @@ fn main() {
     }
     let events_per_sec = events as f64 / wall;
 
-    // Emulated pre-refactor per-heartbeat costs on the same workload.
-    let legacy = scenario::run(Box::new(LegacyOverhead { inner: hfsp() }));
-    let (legacy_report, legacy_events, legacy_wall) =
-        (legacy.report, legacy.events, legacy.wall_secs);
-    assert_eq!(
-        legacy_report, report_a,
-        "the legacy-cost emulation must not change the simulation outcome"
-    );
-    let legacy_events_per_sec = legacy_events as f64 / legacy_wall;
-    let speedup = events_per_sec / legacy_events_per_sec;
-
     // Queue-level churn microbenchmark.
     let queue_ops = if bench.is_test() { 50_000 } else { 200_000 };
     let (fast_qps, naive_qps) = queue_microbench(queue_ops);
@@ -325,8 +178,6 @@ fn main() {
     println!("suspend cycles          : {suspends}");
     println!("wall seconds (best)     : {wall:.3}");
     println!("events/sec              : {events_per_sec:.0}");
-    println!("events/sec (legacy emu) : {legacy_events_per_sec:.0}");
-    println!("speedup vs legacy emu   : {speedup:.2}x");
     println!("queue ops/sec           : {fast_qps:.0} (naive {naive_qps:.0}, {queue_speedup:.1}x)");
 
     if !bench.is_test() {
@@ -361,14 +212,6 @@ fn main() {
             (
                 "events_per_sec",
                 mrp_preempt::json::Json::Num(events_per_sec.round()),
-            ),
-            (
-                "legacy_emulation_events_per_sec",
-                mrp_preempt::json::Json::Num(legacy_events_per_sec.round()),
-            ),
-            (
-                "speedup_vs_legacy_emulation",
-                mrp_preempt::json::Json::Num((speedup * 100.0).round() / 100.0),
             ),
             (
                 "queue_ops_per_sec",

@@ -575,6 +575,7 @@ impl SchedulerPolicy for DummyScheduler {
         ctx: &SchedulerContext<'_>,
         job: mrp_engine::JobId,
     ) -> Vec<SchedulerAction> {
+        self.launcher.on_job_finished(ctx, job);
         let Some(finished) = ctx.jobs.get(&job) else {
             return Vec::new();
         };

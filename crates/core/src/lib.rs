@@ -12,16 +12,20 @@
 //!   experiment in Section IV;
 //! * [`EvictionPolicy`] — the task eviction policies discussed in Section V-A
 //!   (closest-to-completion, smallest-memory-footprint, …);
-//! * [`FairScheduler`] and [`HfspScheduler`] — preemptive fairness and
-//!   size-based schedulers showing the primitive plugged into realistic
+//! * [`ActionPipeline`] — Volcano-style scheduling actions (allocate,
+//!   preempt, reclaim, backfill) and the FIFO, FAIR, HFSP and multi-tenant
+//!   bundles built from them, showing the primitive plugged into realistic
 //!   policies (Section II's motivation and the HFSP follow-up);
+//!   [`HfspScheduler`] is the HFSP bundle under its own name;
 //! * [`NatjamModel`] — an analytical cost model of application-level
 //!   checkpointing for the comparison the paper makes qualitatively.
 //!
 //! The mechanics of suspension (heartbeat-piggybacked commands, `SIGTSTP` /
 //! `SIGCONT` on the task processes, paging of suspended tasks under memory
-//! pressure) live in the `mrp-engine` and `mrp-simos` substrate crates; this
-//! crate supplies the policies and the user-facing vocabulary.
+//! pressure) live in the `mrp-engine` and `mrp-simos` substrate crates, and
+//! so does the one slot-filling function every policy allocates through
+//! ([`mrp_engine::fill_node`]); this crate supplies the job orders, the
+//! preemption policies and the user-facing vocabulary.
 //!
 //! ```
 //! use mrp_preempt::{DummyPlan, DummyScheduler, PreemptionPrimitive};
@@ -67,7 +71,7 @@ pub use pipeline::{
     Backfill, DrfJobOrder, FairJobOrder, HfspJobOrder, MultiTenantConfig, Preempt, Reclaim,
 };
 pub use primitive::{PreemptionPrimitive, UnknownPrimitive};
-pub use schedulers::{FairScheduler, HfspScheduler};
+pub use schedulers::HfspScheduler;
 
 #[cfg(test)]
 mod randomized_tests {

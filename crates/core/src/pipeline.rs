@@ -6,30 +6,31 @@
 //! [`mrp_engine::TaskOrderFn`], [`mrp_engine::NodeScoreFn`],
 //! [`mrp_engine::PreemptableSetFn`], [`TenantLedger`]). Each JobTracker
 //! event is dispatched through the actions in order over the same immutable
-//! [`SchedulerContext`], concatenating their action outputs — exactly the
-//! fill-then-preempt round structure the legacy schedulers used, now with
-//! the policy logic factored into replaceable plugins.
+//! [`SchedulerContext`], concatenating their action outputs: a fill, then
+//! preemption.
 //!
-//! The legacy `FairScheduler` / `HfspScheduler` types are thin wrappers
-//! over [`ActionPipeline::fair`] / [`ActionPipeline::hfsp`]: the bundles
-//! run the *same* machinery (`fill_node`, `EvictionPolicy::pick` on the
-//! same seeded RNG streams), so plugin-composed and legacy schedulers are
-//! byte-identical on every pinned seed — the determinism suites assert it.
+//! Every bundle allocates through the engine's one slot-filling function,
+//! [`fill_node`], and differs only in the job order it hands it:
+//! [`ActionPipeline::fifo`] under [`FifoJobOrder`] (the same order and fill
+//! as [`mrp_engine::FifoScheduler`]), [`ActionPipeline::fair`] under
+//! [`FairJobOrder`] and [`ActionPipeline::hfsp`] under [`HfspJobOrder`].
+//! The preempt actions draw victims through `EvictionPolicy::pick` on
+//! seeded RNG streams, so every bundle is deterministic; the determinism
+//! suites pin each one on fixed seeds.
 //!
-//! On top of the re-expressed legacy policies,
-//! [`ActionPipeline::multi_tenant`] composes the scenario family the paper
-//! never touched: DRF dominant-share allocation over tenants, quota
-//! [`Reclaim`] evicting over-quota tenants via kill *or* OS-assisted
-//! suspend (the paper's trade-off as a plugin knob), and [`Backfill`] of
-//! best-effort jobs into leftover capacity.
+//! On top of these, [`ActionPipeline::multi_tenant`] composes the scenario
+//! family the paper never touched: DRF dominant-share allocation over
+//! tenants, quota [`Reclaim`] evicting over-quota tenants via kill *or*
+//! OS-assisted suspend (the paper's trade-off as a plugin knob), and
+//! [`Backfill`] of best-effort jobs into leftover capacity.
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
 use crate::primitive::PreemptionPrimitive;
-use crate::schedulers::{candidates_of, fill_node, LocalityIndex};
+use crate::schedulers::candidates_of;
 use mrp_engine::{
-    FifoScheduler, JobId, JobOrder, JobOrderFn, JobRuntime, NodeId, NodeScoreFn, PreemptableSetFn,
-    PreemptableTask, SchedulerAction, SchedulerContext, SchedulerPolicy, TaskId, TaskKind,
-    TaskOrderFn, TaskState, TenantLedger,
+    fill_node, FifoJobOrder, JobId, JobOrder, JobOrderFn, JobRuntime, LocalityIndex, NodeId,
+    NodeScoreFn, PreemptableSetFn, PreemptableTask, SchedulerAction, SchedulerContext,
+    SchedulerPolicy, TaskId, TaskKind, TaskOrderFn, TaskState, TenantLedger,
 };
 use mrp_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -77,7 +78,7 @@ pub fn remaining_size(job: &JobRuntime) -> u64 {
 }
 
 /// The default preemptable-set plugin: a job's `Running` tasks, in task
-/// order, with the legacy footprint estimate.
+/// order, with the base-footprint-plus-state memory estimate.
 pub fn running_tasks_preemptable() -> PreemptableSetFn {
     Box::new(|ctx, job| {
         ctx.jobs
@@ -97,8 +98,8 @@ pub fn running_tasks_preemptable() -> PreemptableSetFn {
 }
 
 /// Wraps an [`EvictionPolicy`] (and its seeded RNG) as a victim-selection
-/// plugin. The RNG is drawn only inside `pick`, so a bundle seeded like its
-/// legacy scheduler reproduces the legacy victim stream exactly.
+/// plugin. The RNG is drawn only inside `pick`, so the victim stream is a
+/// pure function of the seed and the candidates offered.
 pub fn eviction_select(eviction: EvictionPolicy, seed: u64) -> TaskOrderFn {
     let mut rng = SimRng::new(seed);
     Box::new(move |_ctx, tasks, take| {
@@ -148,9 +149,8 @@ impl JobOrder for FairJobOrder {
 
 /// HFSP's job-ordering plugin: smallest remaining size first, cached for up
 /// to one simulated second. The zero-free-slot gate runs *before* the cache
-/// refresh — exactly like the legacy scheduler — so the once-per-second
-/// refresh happens at the same virtual instants and the order (whose sizes
-/// drift with progress) stays byte-identical.
+/// refresh, so the O(jobs x tasks) size estimate never runs for a heartbeat
+/// from a node without a free slot.
 #[derive(Default)]
 pub struct HfspJobOrder {
     scratch: Vec<(u64, JobId)>,
@@ -186,7 +186,7 @@ impl JobOrder for HfspJobOrder {
                 .filter(|(_, j)| !j.is_finished())
                 // Fully-launched jobs have nothing for `fill_node` to hand
                 // out; dropping them keeps the fill loop proportional to
-                // jobs with actual pending work (see the legacy HFSP notes).
+                // jobs with actual pending work.
                 .filter(|(_, j)| j.schedulable_count() > 0 || j.suspended_count > 0)
                 .map(|(id, j)| (remaining_size(j), *id)),
         );
@@ -310,43 +310,23 @@ impl JobOrder for DrfJobOrder {
     }
 }
 
-enum AllocateStrategy {
-    /// The engine's FIFO policy verbatim: one global task order, filled
-    /// locality tier by locality tier.
-    LocalityMajor(FifoScheduler),
-    /// Job-major fill: a [`JobOrder`] plugin ranks jobs, `fill_node` serves
-    /// them rack-aware (resume-first, delay- and reliability-gated).
-    JobMajor {
-        job_order: JobOrderFn,
-        order: Vec<JobId>,
-        locality: LocalityIndex,
-    },
-}
-
 /// The `allocate` action: fills a heartbeating node's free slots with
-/// pending (or suspended) work.
+/// pending (or suspended) work through the engine's [`fill_node`], serving
+/// jobs in the order a [`JobOrder`] plugin ranks them.
 pub struct Allocate {
-    strategy: AllocateStrategy,
+    job_order: JobOrderFn,
+    order: Vec<JobId>,
+    locality: LocalityIndex,
 }
 
 impl Allocate {
-    /// FIFO's allocation strategy: one global (priority, submission) task
-    /// order, served locality tier by locality tier.
-    pub fn locality_major() -> Self {
+    /// Allocation under a job-ordering plugin (FIFO, FAIR, HFSP and DRF
+    /// differ only in this order).
+    pub fn new(job_order: JobOrderFn) -> Self {
         Allocate {
-            strategy: AllocateStrategy::LocalityMajor(FifoScheduler::new()),
-        }
-    }
-
-    /// Job-major allocation parameterized by a job-ordering plugin (FAIR,
-    /// HFSP and DRF all use this strategy with different orders).
-    pub fn job_major(job_order: JobOrderFn) -> Self {
-        Allocate {
-            strategy: AllocateStrategy::JobMajor {
-                job_order,
-                order: Vec::new(),
-                locality: LocalityIndex::default(),
-            },
+            job_order,
+            order: Vec::new(),
+            locality: LocalityIndex::default(),
         }
     }
 }
@@ -362,17 +342,8 @@ impl Action for Allocate {
         node: NodeId,
         out: &mut Vec<SchedulerAction>,
     ) {
-        match &mut self.strategy {
-            AllocateStrategy::LocalityMajor(fifo) => out.extend(fifo.on_heartbeat(ctx, node)),
-            AllocateStrategy::JobMajor {
-                job_order,
-                order,
-                locality,
-            } => {
-                if job_order.refresh(ctx, node, order) {
-                    out.extend(fill_node(ctx, node, order, locality));
-                }
-            }
+        if self.job_order.refresh(ctx, node, &mut self.order) {
+            out.extend(fill_node(ctx, node, &self.order, &mut self.locality));
         }
     }
 
@@ -382,21 +353,12 @@ impl Action for Allocate {
         job: JobId,
         _out: &mut Vec<SchedulerAction>,
     ) {
-        if let AllocateStrategy::JobMajor { job_order, .. } = &mut self.strategy {
-            job_order.job_submitted(job);
-        }
+        self.job_order.job_submitted(job);
     }
 
     fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) {
-        if let AllocateStrategy::JobMajor {
-            job_order,
-            locality,
-            ..
-        } = &mut self.strategy
-        {
-            job_order.job_finished(job);
-            locality.forget(job);
-        }
+        self.job_order.job_finished(job);
+        self.locality.forget(job);
     }
 }
 
@@ -425,7 +387,6 @@ pub struct Preempt {
 
 impl Preempt {
     /// FAIR's preemption: deficit-triggered, victims from over-share jobs.
-    /// Seeded like the legacy `FairScheduler` so victim streams match.
     pub fn fair_share(
         primitive: PreemptionPrimitive,
         eviction: EvictionPolicy,
@@ -445,7 +406,7 @@ impl Preempt {
     }
 
     /// HFSP's preemption: arrival-triggered, victims from strictly larger
-    /// jobs. Seeded like the legacy `HfspScheduler`.
+    /// jobs.
     pub fn size_on_submit(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
         Preempt {
             primitive,
@@ -957,15 +918,25 @@ impl ActionPipeline {
         ActionPipeline { label, actions }
     }
 
-    /// FIFO as a plugin bundle: a single locality-major [`Allocate`].
-    /// Byte-identical to [`FifoScheduler`] (it *is* the same code).
+    /// FIFO as a plugin bundle: a single [`Allocate`] under
+    /// [`FifoJobOrder`]. Byte-identical to [`mrp_engine::FifoScheduler`],
+    /// which runs the same order over the same [`fill_node`].
     pub fn fifo() -> Self {
-        ActionPipeline::new("fifo", vec![Box::new(Allocate::locality_major())])
+        ActionPipeline::new(
+            "fifo",
+            vec![Box::new(Allocate::new(Box::new(FifoJobOrder)))],
+        )
     }
 
-    /// FAIR as a plugin bundle: job-major [`Allocate`] under
-    /// [`FairJobOrder`], then deficit-triggered [`Preempt`]. Byte-identical
-    /// to the legacy `FairScheduler` (which now wraps this).
+    /// FAIR as a plugin bundle: [`Allocate`] under [`FairJobOrder`], then
+    /// deficit-triggered [`Preempt`].
+    ///
+    /// Every job is its own pool with an equal share of the cluster's
+    /// `total_map_slots`. A job that has run fewer slots than its fair share
+    /// for longer than `preemption_timeout` triggers preemption: tasks of
+    /// over-share jobs are evicted with `primitive`, victims chosen by
+    /// `eviction` (this is how the Hadoop FAIR scheduler warrants fairness,
+    /// with kill replaced by suspend/resume).
     pub fn fair(
         primitive: PreemptionPrimitive,
         eviction: EvictionPolicy,
@@ -975,7 +946,7 @@ impl ActionPipeline {
         ActionPipeline::new(
             "fair",
             vec![
-                Box::new(Allocate::job_major(Box::new(FairJobOrder::default()))),
+                Box::new(Allocate::new(Box::new(FairJobOrder::default()))),
                 Box::new(Preempt::fair_share(
                     primitive,
                     eviction,
@@ -986,14 +957,14 @@ impl ActionPipeline {
         )
     }
 
-    /// HFSP as a plugin bundle: job-major [`Allocate`] under
-    /// [`HfspJobOrder`], then arrival-triggered [`Preempt`]. Byte-identical
-    /// to the legacy `HfspScheduler` (which now wraps this).
+    /// HFSP as a plugin bundle: [`Allocate`] under [`HfspJobOrder`], then
+    /// arrival-triggered [`Preempt`] ([`crate::HfspScheduler`] is this
+    /// bundle under its own name).
     pub fn hfsp(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
         ActionPipeline::new(
             "hfsp",
             vec![
-                Box::new(Allocate::job_major(Box::new(HfspJobOrder::default()))),
+                Box::new(Allocate::new(Box::new(HfspJobOrder::default()))),
                 Box::new(Preempt::size_on_submit(primitive, eviction)),
             ],
         )
@@ -1013,9 +984,7 @@ impl ActionPipeline {
         let pipeline = ActionPipeline::new(
             "multi_tenant",
             vec![
-                Box::new(Allocate::job_major(Box::new(DrfJobOrder::new(
-                    ledger.clone(),
-                )))),
+                Box::new(Allocate::new(Box::new(DrfJobOrder::new(ledger.clone())))),
                 Box::new(Reclaim::new(
                     ledger.clone(),
                     config.primitive,

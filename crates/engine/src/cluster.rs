@@ -48,7 +48,7 @@ use crate::scheduler::{
     NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext, SchedulerPolicy,
 };
 use crate::shuffle::ShuffleTracker;
-use crate::tasktracker::{FailedAttempt, TaskTracker};
+use crate::tasktracker::{FailedAttempt, TaskTracker, TerminationOutcome};
 use mrp_dfs::{Locality, NameNode, NodeId, RackId, Topology};
 use mrp_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
 
@@ -1370,9 +1370,7 @@ impl Cluster {
         let task = failed.id.task;
         self.fault_stats.attempts_lost += 1;
         if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(failed.id), now);
-            obs.span_end(SpanKey::Shuffle(failed.id), now);
-            obs.span_end(SpanKey::Attempt(failed.id), now);
+            obs.end_attempt_spans(failed.id, now);
         }
         if let Some(ev) = failed.segment_event {
             self.queue.cancel(ev);
@@ -2216,9 +2214,7 @@ impl Cluster {
         };
         self.mark_node_dirty(node);
         if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
+            obs.end_attempt_spans(attempt_id, now);
         }
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
@@ -2490,9 +2486,7 @@ impl Cluster {
         };
         self.mark_node_dirty(node);
         if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
+            obs.end_attempt_spans(attempt_id, now);
         }
         // First finisher wins: a completing attempt kills its sibling (the
         // original kills the backup; a winning backup kills the original,
@@ -2521,6 +2515,22 @@ impl Cluster {
             }
         }
         self.set_task_state(task, TaskState::Succeeded);
+        self.commit_success(task, node, &outcome, output_bytes, now, "");
+    }
+
+    /// The commit tail shared by a live completion and a reconciled one,
+    /// once the task is `Succeeded`: the task's final fields, the committed
+    /// map's output registration, the `Completed` trace (with `detail`) and
+    /// [`Cluster::after_task_success`].
+    fn commit_success(
+        &mut self,
+        task: TaskId,
+        node: NodeId,
+        outcome: &TerminationOutcome,
+        output_bytes: u64,
+        now: SimTime,
+        detail: &str,
+    ) {
         if let Some(t) = self.task_mut(task) {
             t.progress = 1.0;
             t.finished_at = Some(now);
@@ -2543,9 +2553,8 @@ impl Cluster {
             task.job,
             Some(task),
             Some(node),
-            "",
+            detail,
         );
-
         self.after_task_success(task, node, now);
     }
 
@@ -2689,28 +2698,7 @@ impl Cluster {
         }
         self.fault_stats.reconciled_commits += 1;
         self.force_task_state(task, TaskState::Succeeded);
-        if let Some(t) = self.task_mut(task) {
-            t.progress = 1.0;
-            t.finished_at = Some(now);
-            t.current_attempt = None;
-            t.node = Some(node);
-            t.paged_out_bytes += outcome.paged_out_bytes;
-            t.paged_in_bytes += outcome.paged_in_bytes;
-        }
-        if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
-            let rack = RackId(self.node_rack[node.0 as usize]);
-            self.shuffle
-                .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
-        }
-        self.trace_event(
-            now,
-            TraceKind::Completed,
-            task.job,
-            Some(task),
-            Some(node),
-            "reconciled",
-        );
-        self.after_task_success(task, node, now);
+        self.commit_success(task, node, &outcome, output_bytes, now, "reconciled");
     }
 
     /// Handles a task whose process was sacrificed by the OOM killer while
@@ -2718,9 +2706,7 @@ impl Cluster {
     fn handle_oom_victim(&mut self, attempt_id: AttemptId, node: NodeId, now: SimTime) {
         let task = attempt_id.task;
         if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
+            obs.end_attempt_spans(attempt_id, now);
         }
         let (is_current, is_spec, backup, wasted) = {
             let Some(t) = self.task(task) else { return };
@@ -3179,9 +3165,7 @@ impl Cluster {
         }
         self.mark_node_dirty(node);
         if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt), now);
-            obs.span_end(SpanKey::Shuffle(attempt), now);
-            obs.span_end(SpanKey::Attempt(attempt), now);
+            obs.end_attempt_spans(attempt, now);
         }
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);

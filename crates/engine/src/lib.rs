@@ -13,11 +13,15 @@
 //!   processes through the simulated kernel (`mrp-simos`), so that memory
 //!   pressure — not checkpointing — determines the cost of preemption.
 //!
-//! Scheduling *policy* is pluggable through [`SchedulerPolicy`]; this crate
-//! only ships the non-preemptive priority-FIFO default ([`FifoScheduler`]).
-//! The paper's dummy trigger-driven scheduler, its preemption primitives
-//! (`wait`, `kill`, `suspend/resume`) and the preemptive job schedulers live
-//! in the `mrp-preempt` crate.
+//! Scheduling *policy* is pluggable through [`SchedulerPolicy`]. Slot
+//! filling is not: [`fill_node`] is the one function that hands a node's
+//! free slots to jobs (resumes, rack-aware launches under delay scheduling
+//! and the placement vetoes, speculative backups), and a policy only
+//! chooses the job order it serves. This crate ships the non-preemptive
+//! priority-FIFO default ([`FifoScheduler`], [`fill_node`] under
+//! [`FifoJobOrder`]). The paper's dummy trigger-driven scheduler, its
+//! preemption primitives (`wait`, `kill`, `suspend/resume`) and the
+//! preemptive job schedulers live in the `mrp-preempt` crate.
 //!
 //! ```
 //! use mrp_engine::{Cluster, ClusterConfig, FifoScheduler, JobSpec};
@@ -38,6 +42,7 @@ mod attempt;
 mod cluster;
 mod config;
 mod delay;
+mod fill;
 mod job;
 mod metrics;
 mod obs;
@@ -55,6 +60,7 @@ pub use config::{
     TaskDefaults, TraceLevel,
 };
 pub use delay::DelayScoreboard;
+pub use fill::{fill_node, LocalityIndex};
 pub use job::{
     AttemptId, JobId, JobRuntime, JobSpec, JobTable, MapInput, TaskId, TaskKind, TaskProfile,
     TaskRuntime, TaskState,
@@ -70,8 +76,8 @@ pub use plugin::{
 };
 pub use reliability::ReliabilityTracker;
 pub use scheduler::{
-    FifoScheduler, NodeView, PendingTotals, PlacementQuery, PlacementVerdict, RackView,
-    SchedulerAction, SchedulerContext, SchedulerPolicy,
+    FifoJobOrder, FifoScheduler, NodeView, PendingTotals, PlacementQuery, PlacementVerdict,
+    RackView, SchedulerAction, SchedulerContext, SchedulerPolicy,
 };
 pub use shuffle::ShuffleTracker;
 pub use tasktracker::{

@@ -303,6 +303,15 @@ impl ObsState {
         self.registry.observe(hist, micros);
     }
 
+    /// Closes the spans an attempt may hold open — its suspend cycle, its
+    /// shuffle stall and the attempt itself, in that order — however the
+    /// attempt ended (commit, kill, node loss, OOM).
+    pub(crate) fn end_attempt_spans(&mut self, attempt: AttemptId, at: SimTime) {
+        self.span_end(SpanKey::Suspend(attempt), at);
+        self.span_end(SpanKey::Shuffle(attempt), at);
+        self.span_end(SpanKey::Attempt(attempt), at);
+    }
+
     /// Number of spans still open (attempts running at `max_time`, unhealed
     /// partitions, ...). The exporter clamps these to the final time.
     pub fn open_spans(&self) -> usize {

@@ -11,9 +11,12 @@
 //! FIFO/FAIR/HFSP policies — lives in the `mrp-preempt` crate, next to the
 //! preemption primitives it dispatches.
 //!
-//! Everything here is policy-side vocabulary: the engine never consults
-//! these types on its own, it only hands pipelines the
-//! [`SchedulerContext`] they read.
+//! Everything here is policy-side vocabulary: the JobTracker never
+//! consults these types on its own, it only hands policies the
+//! [`SchedulerContext`] they read. The engine's default
+//! [`FifoScheduler`](crate::FifoScheduler) is itself a [`JobOrder`]
+//! ([`FifoJobOrder`](crate::FifoJobOrder)) over
+//! [`fill_node`](crate::fill_node).
 
 use crate::job::{JobId, TaskId, TaskKind};
 use crate::scheduler::SchedulerContext;

@@ -10,7 +10,9 @@
 
 use crate::config::SpeculationConfig;
 use crate::delay::DelayScoreboard;
+use crate::fill::{fill_node, LocalityIndex};
 use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskKind, TaskRuntime, TaskState};
+use crate::plugin::JobOrder;
 use crate::reliability::ReliabilityTracker;
 use crate::shuffle::ShuffleTracker;
 use mrp_dfs::{Locality, NodeId, RackId, Topology};
@@ -284,8 +286,9 @@ impl<'a> SchedulerContext<'a> {
     }
 
     /// Answers a [`PlacementQuery`]: the one decision surface all placement
-    /// vetoes go through, for legacy helpers and action-pipeline plugins
-    /// alike. Returns [`PlacementVerdict::Allow`] when no veto applies.
+    /// vetoes go through, for the helpers `fill_node` calls and
+    /// action-pipeline plugins alike. Returns [`PlacementVerdict::Allow`]
+    /// when no veto applies.
     pub fn placement_verdict(&self, query: PlacementQuery<'_>) -> PlacementVerdict {
         match query {
             PlacementQuery::FreshTask { node, kind } => {
@@ -389,40 +392,6 @@ impl<'a> SchedulerContext<'a> {
             .map(|holder| self.topology.locality(node, *holder))
             .min()
             .unwrap_or(Locality::OffRack)
-    }
-
-    /// All tasks in a schedulable state, ordered by (priority desc, job
-    /// submission order, task index): the order a priority-aware FIFO
-    /// scheduler would serve them in.
-    pub fn schedulable_tasks(&self) -> Vec<TaskId> {
-        self.tasks_in_service_order(|j| j.schedulable_count() > 0, TaskState::is_schedulable)
-    }
-
-    /// All tasks currently suspended, in the same priority order.
-    pub fn suspended_tasks(&self) -> Vec<TaskId> {
-        self.tasks_in_service_order(
-            |j| j.suspended_count > 0,
-            |state| state == TaskState::Suspended,
-        )
-    }
-
-    /// Tasks whose state passes `wanted`, from jobs whose engine-maintained
-    /// counters say they hold such tasks, in
-    /// [`JobRuntime::cmp_service_order`] and task-list order. Jobs are
-    /// filtered before the sort, so a finished or exhausted job costs one
-    /// counter read, not a place in the sort and a task-list walk.
-    fn tasks_in_service_order(
-        &self,
-        has_work: impl Fn(&JobRuntime) -> bool,
-        wanted: impl Fn(TaskState) -> bool,
-    ) -> Vec<TaskId> {
-        let mut jobs: Vec<&JobRuntime> = self.jobs.values().filter(|j| has_work(j)).collect();
-        jobs.sort_by(|a, b| a.cmp_service_order(b));
-        jobs.iter()
-            .flat_map(|j| j.tasks.iter())
-            .filter(|t| wanted(t.state))
-            .map(|t| t.id)
-            .collect()
     }
 
     /// True when there is at least one incomplete job.
@@ -638,202 +607,76 @@ pub trait SchedulerPolicy {
     }
 }
 
+/// Priority FIFO's job order: jobs with schedulable or suspended tasks, by
+/// (priority desc, submission, id) — [`JobRuntime::cmp_service_order`].
+/// Jobs with no such task are dropped on their engine-maintained counters
+/// before the sort, so a finished or fully launched job costs one counter
+/// read.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FifoJobOrder;
+
+impl JobOrder for FifoJobOrder {
+    fn refresh(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        _node: NodeId,
+        order: &mut Vec<JobId>,
+    ) -> bool {
+        order.clear();
+        order.extend(
+            ctx.jobs
+                .values()
+                .filter(|j| j.schedulable_count() > 0 || j.suspended_count > 0)
+                .map(|j| j.id),
+        );
+        order.sort_unstable_by(|a, b| ctx.jobs[a].cmp_service_order(&ctx.jobs[b]));
+        true
+    }
+}
+
 /// The default policy: priority-aware FIFO without preemption.
 ///
-/// On every heartbeat it fills the node's free slots with schedulable tasks in
-/// (priority, submission order) order, preferring data-local tasks, and
-/// resumes suspended tasks when slots free up (so that externally requested
-/// suspensions — e.g. from the command-line API — eventually finish).
-#[derive(Debug, Default, Clone)]
+/// On every heartbeat it fills the node's free slots through [`fill_node`]
+/// under the [`FifoJobOrder`]: each job in (priority, submission) order
+/// resumes its tasks suspended on the node (so that externally requested
+/// suspensions — e.g. from the command-line API — eventually finish), then
+/// launches its pending tasks node-local first.
+#[derive(Default)]
 pub struct FifoScheduler {
-    /// Whether the policy resumes suspended tasks when slots are free.
-    pub resume_suspended: bool,
-    /// Simulated second of the last speculation scan (the O(tail-job tasks)
-    /// straggler scan runs at most once per simulated second cluster-wide).
-    spec_stamp: Option<u64>,
+    order: Vec<JobId>,
+    locality: LocalityIndex,
 }
 
 impl FifoScheduler {
     /// Creates the default FIFO policy that also resumes suspended tasks.
     pub fn new() -> Self {
-        FifoScheduler {
-            resume_suspended: true,
-            spec_stamp: None,
-        }
+        FifoScheduler::default()
     }
 
     /// A FIFO launcher that never resumes suspended tasks on its own (used
     /// by wrappers that control resumption themselves).
     pub fn non_resuming() -> Self {
         FifoScheduler {
-            resume_suspended: false,
-            spec_stamp: None,
+            order: Vec::new(),
+            locality: LocalityIndex::non_resuming(),
         }
     }
 }
 
 impl SchedulerPolicy for FifoScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        let Some(view) = ctx.node(node) else {
-            return Vec::new();
-        };
-        // Hot-path early exit: skip the whole-cluster task scans below when
-        // this node's free slots provably cannot be used — no pending work of
-        // the matching kind exists anywhere (the cluster-wide totals are
-        // engine-maintained, O(1) to consult) and nothing is suspended here.
-        // At scale most heartbeats hit this case.
-        let can_launch_map = view.free_map_slots > 0 && ctx.totals.schedulable_maps > 0;
-        let can_launch_reduce = view.free_reduce_slots > 0 && ctx.totals.schedulable_reduces > 0;
-        let can_resume = self.resume_suspended
-            && !view.suspended.is_empty()
-            && (view.free_map_slots > 0 || view.free_reduce_slots > 0);
-        // Speculation (when enabled) looks only at tail-phase jobs, and only
-        // when map slots survive regular assignment — Hadoop's trigger: a
-        // slot nothing pending can use.
-        let can_speculate = ctx.speculation.enabled && view.free_map_slots > 0;
-        if !can_launch_map && !can_launch_reduce && !can_resume && !can_speculate {
+        // The O(1) no-usable-slot exit comes before the job sort: at scale
+        // most heartbeats take it.
+        if !self.locality.can_fill(ctx, node) {
             return Vec::new();
         }
-        let mut actions = Vec::new();
-        let mut free_map = view.free_map_slots;
-        let mut free_reduce = view.free_reduce_slots;
+        FifoJobOrder.refresh(ctx, node, &mut self.order);
+        fill_node(ctx, node, &self.order, &mut self.locality)
+    }
 
-        // First give slots back to suspended tasks stranded on this node.
-        if self.resume_suspended && !view.suspended.is_empty() {
-            for task in ctx.suspended_tasks() {
-                let Some(t) = ctx.task(task) else { continue };
-                if t.node != Some(node) {
-                    continue;
-                }
-                let free = match task.kind {
-                    TaskKind::Map => &mut free_map,
-                    TaskKind::Reduce => &mut free_reduce,
-                };
-                if *free > 0 {
-                    *free -= 1;
-                    actions.push(SchedulerAction::Resume { task });
-                }
-            }
-        }
-
-        // Then launch fresh work in three locality tiers: node-local first,
-        // then rack-local, then off-rack. One pass computes each task's
-        // locality exactly once and buckets it; draining the buckets in tier
-        // order preserves the within-tier priority order of the schedulable
-        // list. A task's locality is fixed, so every task lands in exactly
-        // one bucket and cannot be launched twice.
-        let schedulable = ctx.schedulable_tasks();
-        let mut tiers: [Vec<TaskId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for &task in &schedulable {
-            let Some(t) = ctx.task(task) else { continue };
-            let bucket = match ctx.task_locality(t, node) {
-                Locality::NodeLocal => 0,
-                Locality::RackLocal => 1,
-                Locality::OffRack => 2,
-            };
-            tiers[bucket].push(task);
-        }
-        // Delay scheduling: the rack-local and off-rack buckets only contain
-        // map tasks with real placement preferences (preference-less tasks
-        // and reduces all bucket as node-local), so gating those buckets on
-        // the job's allowed locality level is exactly the policy. A declined
-        // opportunity is recorded at most once per job per heartbeat — and
-        // not at all for a job that launched a node-local map this round:
-        // that launch resets the job's wait at apply time, so noting a skip
-        // would only mint a spurious zero-length histogram entry. Per-job
-        // flags are dense Vecs indexed by job id (ids are sequential from
-        // 1), and the allowed level is cached per job (tiers keep a job's
-        // tasks contiguous), so the decline path stays O(tasks) even with
-        // the whole backlog waiting.
-        // Failure-aware placement: fresh launches (and speculative backups
-        // below) avoid flaky nodes while capacity exists elsewhere. Resumes
-        // above are exempt — the suspended state already lives here.
-        let avoid_map = ctx.reliability_avoid(node, TaskKind::Map);
-        let avoid_reduce = ctx.reliability_avoid(node, TaskKind::Reduce);
-        let delay_on = ctx.delay_enabled();
-        let flag_len = if delay_on { ctx.jobs.len() } else { 0 };
-        let mut declined = vec![false; flag_len];
-        let mut launched_local = vec![false; flag_len];
-        let mut cached_allowed: Option<(crate::job::JobId, Locality)> = None;
-        for (level, tier) in tiers.iter().enumerate() {
-            if free_map == 0 && free_reduce == 0 {
-                break;
-            }
-            for &task in tier {
-                let free = match task.kind {
-                    TaskKind::Map => &mut free_map,
-                    TaskKind::Reduce => &mut free_reduce,
-                };
-                if *free == 0 {
-                    continue;
-                }
-                match task.kind {
-                    TaskKind::Map if avoid_map => continue,
-                    TaskKind::Reduce if avoid_reduce => continue,
-                    // Rack-aware reduce placement: wait for the rack holding
-                    // the job's map-output bytes while it has capacity.
-                    TaskKind::Reduce if ctx.prefer_reduce_elsewhere(task.job, node) => continue,
-                    _ => {}
-                }
-                let flag_idx = (task.job.0 as usize).wrapping_sub(1);
-                if delay_on && level > 0 {
-                    let allowed = match cached_allowed {
-                        Some((job, allowed)) if job == task.job => allowed,
-                        _ => {
-                            let allowed = ctx.delay_allowed(task.job);
-                            cached_allowed = Some((task.job, allowed));
-                            allowed
-                        }
-                    };
-                    let permitted = match level {
-                        1 => allowed >= Locality::RackLocal,
-                        _ => allowed == Locality::OffRack,
-                    };
-                    if !permitted {
-                        if let Some(flag) = declined.get_mut(flag_idx) {
-                            *flag = true;
-                        }
-                        continue;
-                    }
-                }
-                if delay_on && level == 0 && task.kind == TaskKind::Map {
-                    if let Some(flag) = launched_local.get_mut(flag_idx) {
-                        *flag = true;
-                    }
-                }
-                *free -= 1;
-                actions.push(SchedulerAction::Launch { task, node });
-            }
-        }
-        for (idx, declined) in declined.into_iter().enumerate() {
-            if declined && !launched_local[idx] {
-                ctx.note_delay_skip(crate::job::JobId(idx as u32 + 1));
-            }
-        }
-
-        // Map slots still free after regular assignment: nothing pending can
-        // use them, so offer them to stragglers as speculative backups
-        // (candidate scans stay per-job-gated to tail-phase jobs, and run at
-        // most once per simulated second cluster-wide).
-        if ctx.speculation.enabled && free_map > 0 && !avoid_map {
-            let second = ctx.now.as_micros() / 1_000_000;
-            if self.spec_stamp != Some(second) {
-                self.spec_stamp = Some(second);
-                let mut candidates = Vec::new();
-                for job in ctx.jobs.values().filter(|j| !j.is_finished()) {
-                    if free_map == 0 {
-                        break;
-                    }
-                    candidates.clear();
-                    ctx.push_speculative_candidates(job, node, free_map as usize, &mut candidates);
-                    for &task in &candidates {
-                        free_map -= 1;
-                        actions.push(SchedulerAction::LaunchSpeculative { task, node });
-                    }
-                }
-            }
-        }
-        actions
+    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.locality.forget(job);
+        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -889,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn schedulable_tasks_respect_priority_then_fifo() {
+    fn fifo_job_order_is_priority_then_submission() {
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, 0, 1));
         jobs.insert(JobId(2), make_job(2, 5, 10, 1));
@@ -908,14 +751,17 @@ mod tests {
             shuffle: None,
             reliability: None,
         };
-        let order = ctx.schedulable_tasks();
-        assert_eq!(order[0].job, JobId(2), "highest priority first");
-        assert_eq!(order[1].job, JobId(1), "then FIFO by submission");
-        assert_eq!(order[2].job, JobId(3));
+        let order_of = |ctx: &SchedulerContext<'_>| {
+            let mut order = Vec::new();
+            assert!(FifoJobOrder.refresh(ctx, NodeId(0), &mut order));
+            order.into_iter().map(|j| j.0).collect::<Vec<_>>()
+        };
+        // Highest priority first, then FIFO by submission.
+        assert_eq!(order_of(&ctx), vec![2, 1, 3]);
 
         // Interleave finished, exhausted and suspended-only jobs of mixed
-        // priority: only jobs whose counters show work contribute, and the
-        // survivors keep (priority desc, submission, id, task-list) order.
+        // priority: only jobs whose counters show schedulable or suspended
+        // work are ordered, by (priority desc, submission, id).
         let with_states = |id: u32, priority: i32, submitted: u64, states: &[TaskState]| {
             let mut job = make_job(id, priority, submitted, states.len());
             for (t, &state) in job.tasks.iter_mut().zip(states) {
@@ -937,51 +783,54 @@ mod tests {
         jobs.insert(JobId(4), with_states(4, 0, 5, &[Running, Succeeded]));
         jobs.insert(JobId(5), with_states(5, -1, 1, &[Suspended, Suspended]));
         jobs.insert(JobId(6), with_states(6, 5, 3, &[Running, Killed]));
-        // Job 7 ends with a pending reduce: maps come first in its task list.
-        let mut job = with_states(7, 0, 5, &[Suspended, Pending]);
-        job.tasks.push(TaskRuntime::new(
-            TaskId {
-                job: JobId(7),
-                kind: TaskKind::Reduce,
-                index: 0,
-            },
-            100,
-            vec![],
-        ));
-        job.recount_task_states();
-        jobs.insert(JobId(7), job);
+        jobs.insert(JobId(7), with_states(7, 0, 5, &[Running, Pending]));
+        jobs.insert(JobId(8), with_states(8, 0, 5, &[Suspended]));
         let ctx = SchedulerContext {
             jobs: &jobs,
             totals: PendingTotals::from_jobs(&jobs),
             ..ctx
         };
-        let ids = |tasks: Vec<TaskId>| -> Vec<(u32, TaskKind, u32)> {
-            tasks
-                .into_iter()
-                .map(|t| (t.job.0, t.kind, t.index))
-                .collect()
+        assert_eq!(order_of(&ctx), vec![6, 3, 1, 7, 8, 5]);
+    }
+
+    #[test]
+    fn fifo_serves_priority_before_locality() {
+        // One free map slot on node 0 of a two-rack cluster. The
+        // higher-priority job's only map is off-rack (replica on node 5);
+        // the lower-priority job's map is node-local. The higher-priority
+        // job takes the slot.
+        let mut jobs = JobTable::new();
+        let mut low = make_job(1, 0, 0, 1);
+        low.tasks[0].preferred_nodes = vec![NodeId(0)];
+        jobs.insert(JobId(1), low);
+        let mut high = make_job(2, 10, 5, 1);
+        high.tasks[0].preferred_nodes = vec![NodeId(5)];
+        jobs.insert(JobId(2), high);
+        let nodes = [view(0, 1)];
+        let topo = Topology::blocked(10, 2);
+        let ctx = SchedulerContext {
+            now: SimTime::from_secs(10),
+            jobs: &jobs,
+            nodes: &nodes,
+            racks: &[],
+            topology: &topo,
+            totals: PendingTotals::from_jobs(&jobs),
+            speculation: SpeculationConfig::default(),
+            delay: None,
+            shuffle: None,
+            reliability: None,
         };
-        use TaskKind::{Map, Reduce};
+        let actions = FifoScheduler::new().on_heartbeat(&ctx, NodeId(0));
         assert_eq!(
-            ids(ctx.schedulable_tasks()),
-            vec![
-                (6, Map, 1),
-                (3, Map, 1),
-                (1, Map, 0),
-                (1, Map, 2),
-                (7, Map, 1),
-                (7, Reduce, 0),
-            ]
-        );
-        assert_eq!(
-            ids(ctx.suspended_tasks()),
-            vec![
-                (3, Map, 0),
-                (1, Map, 1),
-                (7, Map, 0),
-                (5, Map, 0),
-                (5, Map, 1)
-            ]
+            actions,
+            vec![SchedulerAction::Launch {
+                task: TaskId {
+                    job: JobId(2),
+                    kind: TaskKind::Map,
+                    index: 0,
+                },
+                node: NodeId(0),
+            }]
         );
     }
 

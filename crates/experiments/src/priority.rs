@@ -13,8 +13,13 @@
 //! [`PendingTotals`](mrp_engine::PendingTotals)) instead of scanning task
 //! lists, so a heartbeat costs work in proportion to the pending work:
 //!
-//! - The FIFO launcher sorts only jobs with schedulable tasks and walks only
-//!   their task lists, and only when the node has a free slot.
+//! - The FIFO launcher is the engine's `fill_node` under the priority FIFO
+//!   job order. It sorts only jobs with schedulable or suspended tasks, and
+//!   only when the node has a slot something could use. A job with nothing
+//!   for the node costs a counter read; launches come from the job's
+//!   consume-once locality lists and a forward-only cursor, so a heartbeat
+//!   re-walks a job's task list only to find a task made pending again
+//!   behind the cursor.
 //! - Resumption reads the totals in O(1) and sorts the node's own suspended
 //!   list; it never builds a cluster-wide list.
 //! - Preemption returns in O(1) when nothing is pending, and after one sum
@@ -226,6 +231,14 @@ impl SchedulerPolicy for PriorityPreemptingScheduler {
         self.preemption_actions(ctx)
     }
 
+    fn on_job_finished(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        job: mrp_engine::JobId,
+    ) -> Vec<SchedulerAction> {
+        self.launcher.on_job_finished(ctx, job)
+    }
+
     fn name(&self) -> &str {
         "priority-preempting"
     }
@@ -263,6 +276,42 @@ mod tests {
         actions
     }
 
+    /// All tasks in a schedulable state, ordered by (priority desc, job
+    /// submission order, task index).
+    fn schedulable_tasks(ctx: &SchedulerContext<'_>) -> Vec<TaskId> {
+        tasks_in_service_order(
+            ctx,
+            |j| j.schedulable_count() > 0,
+            TaskState::is_schedulable,
+        )
+    }
+
+    /// All tasks currently suspended, in the same priority order.
+    fn suspended_tasks(ctx: &SchedulerContext<'_>) -> Vec<TaskId> {
+        tasks_in_service_order(
+            ctx,
+            |j| j.suspended_count > 0,
+            |state| state == TaskState::Suspended,
+        )
+    }
+
+    /// Tasks whose state passes `wanted`, from jobs whose counters say they
+    /// hold such tasks, in [`JobRuntime::cmp_service_order`] and task-list
+    /// order.
+    fn tasks_in_service_order(
+        ctx: &SchedulerContext<'_>,
+        has_work: impl Fn(&JobRuntime) -> bool,
+        wanted: impl Fn(TaskState) -> bool,
+    ) -> Vec<TaskId> {
+        let mut jobs: Vec<&JobRuntime> = ctx.jobs.values().filter(|j| has_work(j)).collect();
+        jobs.sort_by(|a, b| a.cmp_service_order(b));
+        jobs.iter()
+            .flat_map(|j| j.tasks.iter())
+            .filter(|t| wanted(t.state))
+            .map(|t| t.id)
+            .collect()
+    }
+
     fn reference_resume_leftovers(
         ctx: &SchedulerContext<'_>,
         node: NodeId,
@@ -273,11 +322,11 @@ mod tests {
         };
         let mut free = (view.free_map_slots as usize).saturating_sub(launches_here);
         let mut actions = Vec::new();
-        let still_waiting = ctx.schedulable_tasks().len() > launches_here;
+        let still_waiting = schedulable_tasks(ctx).len() > launches_here;
         if still_waiting {
             return actions;
         }
-        for task in ctx.suspended_tasks() {
+        for task in suspended_tasks(ctx) {
             if free == 0 {
                 break;
             }
@@ -445,6 +494,15 @@ mod tests {
             self.compare(ctx, &|s| reference_preemption_actions(s, ctx), &|s| {
                 s.on_job_submitted(ctx, job)
             })
+        }
+
+        fn on_job_finished(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+            job: JobId,
+        ) -> Vec<SchedulerAction> {
+            self.reference.on_job_finished(ctx, job);
+            self.policy.on_job_finished(ctx, job)
         }
     }
 

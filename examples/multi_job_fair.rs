@@ -63,7 +63,7 @@ fn main() {
     let schedulers: Vec<(&str, Box<dyn SchedulerPolicy>)> = vec![
         (
             "fair + suspend",
-            Box::new(FairScheduler::new(
+            Box::new(ActionPipeline::fair(
                 PreemptionPrimitive::SuspendResume,
                 EvictionPolicy::ClosestToCompletion,
                 (nodes * 2) as usize,
@@ -72,7 +72,7 @@ fn main() {
         ),
         (
             "fair + kill",
-            Box::new(FairScheduler::new(
+            Box::new(ActionPipeline::fair(
                 PreemptionPrimitive::Kill,
                 EvictionPolicy::LeastProgress,
                 (nodes * 2) as usize,

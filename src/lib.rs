@@ -50,7 +50,7 @@ pub mod prelude {
     };
     pub use mrp_experiments::{run_figure, run_scenario, Figure, ScenarioConfig};
     pub use mrp_preempt::{
-        DummyPlan, DummyScheduler, EvictionPolicy, FairScheduler, HfspScheduler, NatjamModel,
+        ActionPipeline, DummyPlan, DummyScheduler, EvictionPolicy, HfspScheduler, NatjamModel,
         PreemptionPrimitive,
     };
     pub use mrp_sim::{SimDuration, SimTime, GIB, MIB};

@@ -132,7 +132,7 @@ fn delay_blocked_job_is_not_starved_for_fair_preemption() {
             // Long waits so the gate (not escalation) is what matters.
             cfg = cfg.with_delay_intervals(4.0, 4.0);
         }
-        let scheduler = FairScheduler::new(
+        let scheduler = ActionPipeline::fair(
             PreemptionPrimitive::SuspendResume,
             EvictionPolicy::LeastProgress,
             2,

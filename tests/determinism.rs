@@ -762,18 +762,16 @@ fn partition_heals_never_double_commit() {
     }
 }
 
-/// The scheduling-action pipeline redesign re-expresses FIFO, FAIR and
-/// HFSP as plugin bundles (`ActionPipeline::fifo/fair/hfsp`); the legacy
-/// `FairScheduler`/`HfspScheduler` now wrap those bundles, while
-/// `FifoScheduler` remains an independent engine-side implementation. Both
-/// constructions must stay byte-identical on pinned seeds — same event
-/// count, same `ClusterReport` — across three suites: suspend/resume
-/// preemption churn, delay-scheduled DFS placement on a racked cluster,
-/// and detector-confirmed partitions with scripted faults.
+/// Fixed-seed pins of the FIFO, FAIR and HFSP plugin bundles
+/// (`ActionPipeline::fifo/fair/hfsp`) across three suites: suspend/resume
+/// preemption churn, delay-scheduled DFS placement on a racked cluster, and
+/// detector-confirmed partitions with scripted faults. All three bundles
+/// allocate through the engine's one `fill_node`, so these pins also cover
+/// `FifoScheduler`, which runs the FIFO order over the same fill. Each entry
+/// is (events processed, `finished_at` in microseconds); every run must
+/// complete all its jobs.
 #[test]
-fn plugin_pipelines_match_legacy_schedulers() {
-    use mrp_preempt::ActionPipeline;
-
+fn plugin_bundles_are_pinned_on_fixed_seeds() {
     type Factory<'a> = &'a dyn Fn(usize) -> Box<dyn SchedulerPolicy>;
 
     // Preemption churn: small cluster, batch + small jobs, lots of
@@ -857,17 +855,8 @@ fn plugin_pipelines_match_legacy_schedulers() {
         (cluster.events_processed(), cluster.report())
     }
 
-    let legacy_fifo = |_: usize| -> Box<dyn SchedulerPolicy> { Box::new(FifoScheduler::new()) };
-    let pipeline_fifo = |_: usize| -> Box<dyn SchedulerPolicy> { Box::new(ActionPipeline::fifo()) };
-    let legacy_fair = |slots: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(FairScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-            slots,
-            SimDuration::from_secs(10),
-        ))
-    };
-    let pipeline_fair = |slots: usize| -> Box<dyn SchedulerPolicy> {
+    let fifo = |_: usize| -> Box<dyn SchedulerPolicy> { Box::new(ActionPipeline::fifo()) };
+    let fair = |slots: usize| -> Box<dyn SchedulerPolicy> {
         Box::new(ActionPipeline::fair(
             PreemptionPrimitive::SuspendResume,
             EvictionPolicy::ClosestToCompletion,
@@ -875,45 +864,55 @@ fn plugin_pipelines_match_legacy_schedulers() {
             SimDuration::from_secs(10),
         ))
     };
-    let legacy_hfsp = |_: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        ))
-    };
-    let pipeline_hfsp = |_: usize| -> Box<dyn SchedulerPolicy> {
+    let hfsp = |_: usize| -> Box<dyn SchedulerPolicy> {
         Box::new(ActionPipeline::hfsp(
             PreemptionPrimitive::SuspendResume,
             EvictionPolicy::ClosestToCompletion,
         ))
     };
 
-    let pairs: [(&str, Factory, Factory); 3] = [
-        ("fifo", &legacy_fifo, &pipeline_fifo),
-        ("fair", &legacy_fair, &pipeline_fair),
-        ("hfsp", &legacy_hfsp, &pipeline_hfsp),
-    ];
     type Suite = for<'a> fn(Factory<'a>) -> (u64, ClusterReport);
     let suites: [(&str, Suite); 3] = [
         ("churn", churn_suite),
         ("delay", delay_suite),
         ("partition", partition_suite),
     ];
-    for (policy, legacy, pipeline) in pairs {
-        for (suite, run) in suites {
-            let reference = run(legacy);
-            let composed = run(pipeline);
+    // Pins per bundle, in suite order.
+    type Pins = [(u64, u64); 3];
+    let bundles: [(&str, Factory, Pins); 3] = [
+        (
+            "fifo",
+            &fifo,
+            [(583, 77_489_257), (323, 46_122_516), FIFO_PARTITION_PIN],
+        ),
+        (
+            "fair",
+            &fair,
+            [(601, 83_417_317), (323, 46_122_516), (714, 106_255_122)],
+        ),
+        (
+            "hfsp",
+            &hfsp,
+            [(605, 83_340_102), (323, 46_122_516), (737, 112_255_122)],
+        ),
+    ];
+    for (policy, make, pins) in bundles {
+        for ((suite, run), pin) in suites.into_iter().zip(pins) {
+            let (events, report) = run(make);
             assert!(
-                reference.1.all_jobs_complete(),
-                "{policy}/{suite}: legacy run must complete"
+                report.all_jobs_complete(),
+                "{policy}/{suite}: every job must complete"
             );
             assert_eq!(
-                reference, composed,
-                "{policy} plugin bundle diverged from the legacy scheduler in the {suite} suite"
+                (events, report.finished_at.as_micros()),
+                pin,
+                "{policy}/{suite}: (events, finished_at) moved"
             );
         }
     }
 }
+
+const FIFO_PARTITION_PIN: (u64, u64) = (704, 106_255_122);
 
 /// The rack-sharded refresh path (per-rack dirty lists, delta-maintained
 /// free-slot counters) must be observationally identical to the naive
